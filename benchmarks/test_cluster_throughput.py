@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import LocalCluster
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.detection.sharded import ShardedDetector
 from repro.metrics.throughput import ThroughputResult
 from repro.serve import ServeClient
@@ -37,8 +38,14 @@ CLUSTER_FLOOR = float(os.environ.get("REPRO_BENCH_CLUSTER_FLOOR", "1.5"))
 
 
 def build_reference() -> ShardedDetector:
-    return ShardedDetector._of_tbf(
-        WINDOW, SHARDS, TOTAL_ENTRIES, NUM_HASHES, seed=1
+    return create_detector(
+        DetectorSpec(
+            "tbf",
+            WindowSpec("sliding", WINDOW),
+            params=TBFParams(TOTAL_ENTRIES, NUM_HASHES),
+            seed=1,
+            shards=SHARDS,
+        )
     )
 
 

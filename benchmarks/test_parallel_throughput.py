@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.detection.sharded import ShardedDetector
 from repro.metrics.throughput import ThroughputResult
 from repro.parallel import ParallelShardedDetector
@@ -33,9 +34,17 @@ PARALLEL_FLOOR = float(os.environ.get("REPRO_BENCH_PARALLEL_FLOOR", "2.5"))
 
 
 def build_reference(workers: int) -> ShardedDetector:
-    return ShardedDetector._of_tbf(
-        WINDOW, workers, TOTAL_ENTRIES, NUM_HASHES, seed=1
+    spec = DetectorSpec(
+        "tbf",
+        WindowSpec("sliding", WINDOW),
+        params=TBFParams(TOTAL_ENTRIES, NUM_HASHES),
+        seed=1,
+        shards=workers,
     )
+    if workers == 1:
+        # A one-shard spec builds the bare TBF; the fleet wraps it.
+        return ShardedDetector([create_detector(spec)])
+    return create_detector(spec)
 
 
 def run_parallel_sweep(worker_counts=WORKER_COUNTS):

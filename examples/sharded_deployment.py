@@ -18,7 +18,7 @@ Run:  python examples/sharded_deployment.py
 """
 
 from repro.core import load_detector, save_detector
-from repro.detection import ShardedDetector
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.streams import DuplicateSpec, duplicated_stream
 
 
@@ -30,8 +30,15 @@ def main() -> None:
 
     # Fleet A: uninterrupted.  Fleet B: shard 2 "crashes" mid-stream and
     # is restored from its latest checkpoint.
-    fleet_a = ShardedDetector._of_tbf(window, shards, entries, num_hashes=8, seed=1)
-    fleet_b = ShardedDetector._of_tbf(window, shards, entries, num_hashes=8, seed=1)
+    spec = DetectorSpec(
+        "tbf",
+        WindowSpec("sliding", window),
+        params=TBFParams(entries, num_hashes=8),
+        seed=1,
+        shards=shards,
+    )
+    fleet_a = create_detector(spec)
+    fleet_b = create_detector(spec)
 
     crash_at = 30_000
     checkpoint = None

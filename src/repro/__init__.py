@@ -53,12 +53,10 @@ from .core import (
 from .adaptive import (
     AdaptiveController,
     AdaptiveDetector,
-    AdaptiveTimedDetector,
     AgePartitionedBFDetector,
     ControllerConfig,
     ResizeEvent,
     TimeLimitedBFDetector,
-    adaptive_detector,
     scaled_spec,
 )
 from .detection import (
@@ -151,8 +149,6 @@ __all__ = [
     "AgePartitionedBFDetector",
     "TimeLimitedBFDetector",
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "AdaptiveController",
     "ControllerConfig",
     "ResizeEvent",

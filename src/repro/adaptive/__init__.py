@@ -3,7 +3,7 @@
 * :mod:`repro.adaptive.filters` — the Age-Partitioned Bloom Filter and
   the time-limited Bloom filter, sliding-window duplicate detectors
   with tighter FP-per-bit than the paper's GBF/TBF designs.
-* :mod:`repro.adaptive.lifecycle` — resizable wrappers implementing the
+* :mod:`repro.adaptive.lifecycle` — the resizable wrapper implementing the
   :class:`~repro.detection.api.DetectorLifecycle` protocol with a
   bounded replay window, so ``migrate(new_spec)`` loses no state it
   should keep.
@@ -23,11 +23,7 @@ from .filters import (
     plan_tlbf_for_target,
     plan_tlbf_from_memory,
 )
-from .lifecycle import (
-    AdaptiveDetector,
-    AdaptiveTimedDetector,
-    adaptive_detector,
-)
+from .lifecycle import AdaptiveDetector
 from .controller import AdaptiveController, ControllerConfig, ResizeEvent, scaled_spec
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "plan_tlbf_for_target",
     "plan_tlbf_from_memory",
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "AdaptiveController",
     "ControllerConfig",
     "ResizeEvent",

@@ -7,18 +7,18 @@ bound, or a shrunken stream leaves most of the memory idle — the only
 remedy is a *resize*: build a filter of the new size and warm it with
 the recent past.
 
-:class:`AdaptiveDetector` (count-based) and
-:class:`AdaptiveTimedDetector` (time-based) make that remedy a method
-call.  Each wraps an inner detector built from a
-:class:`~repro.detection.DetectorSpec` and retains a bounded window of
-the most recent arrivals.  ``migrate(new_spec)`` builds a fresh inner
-detector from ``new_spec``, replays the retained window through it, and
-swaps it in — the wrapper object (and therefore every reference held by
-pipelines, routers, and instruments) survives the resize.  Both
-wrappers natively implement the full
+:class:`AdaptiveDetector` makes that remedy a method call.  It wraps
+an inner detector built from a :class:`~repro.detection.DetectorSpec`
+— count-based or time-based, taking the spec's time model — and
+retains a bounded window of the most recent arrivals.
+``migrate(new_spec)`` builds a fresh inner detector from ``new_spec``,
+replays the retained window through it, and swaps it in — the wrapper
+object (and therefore every reference held by pipelines, routers, and
+instruments) survives the resize.  The wrapper natively implements the
+full
 :class:`~repro.detection.DetectorLifecycle` protocol
 (``quiesce / checkpoint / migrate / resume``), so the supervised
-pipeline, the parallel fleet, and the cluster router drive them through
+pipeline, the parallel fleet, and the cluster router drive it through
 the same four verbs they use for everything else.
 
 Replay semantics are deliberately simple and testable: after
@@ -29,14 +29,15 @@ same guarantee decay already gives them.
 
 Checkpoints round-trip the whole assembly — wrapper bookkeeping,
 retained window, spec, and the inner detector's bit-exact state — under
-the ``"adaptive"`` / ``"adaptive-timed"`` frame kinds.
+the ``"adaptive"`` (count-based) / ``"adaptive-timed"`` frame kinds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict
-from typing import Deque, Iterable, Optional, Tuple
+from functools import partial
+from typing import Deque, Iterable, Optional
 
 import numpy as np
 
@@ -54,12 +55,11 @@ from ..detection.detector import (
     WindowSpec,
     create_detector,
 )
+from ..detection.api import bind_time_model, wrap_timed
 from ..errors import ConfigurationError
 
 __all__ = [
     "AdaptiveDetector",
-    "AdaptiveTimedDetector",
-    "adaptive_detector",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -116,8 +116,26 @@ def spec_from_dict(data: dict) -> DetectorSpec:
     )
 
 
-class _AdaptiveBase:
-    """Shared machinery: retained window, lifecycle verbs, delegation."""
+def _timed(spec: DetectorSpec) -> bool:
+    return spec.algorithm in TIME_BASED_ALGORITHMS
+
+
+class AdaptiveDetector:
+    """Resizable detector (see module docstring).
+
+    The time model is the spec's: count-based specs give the
+    ``process`` / ``process_batch`` / ``query`` surface, time-based
+    specs ``process_at`` / ``process_batch_at`` / ``query_at`` and a
+    retained window of ``(identifier, timestamp)`` pairs.
+
+    Parameters
+    ----------
+    spec:
+        The :class:`DetectorSpec` of the initial inner detector.
+    retain:
+        Replay-window length in clicks; defaults to ``spec.window.size``
+        (the window the sketch guarantees anyway).
+    """
 
     def __init__(
         self,
@@ -125,6 +143,8 @@ class _AdaptiveBase:
         *,
         retain: Optional[int] = None,
         _inner=None,
+        _buffer: Optional[Iterable[int]] = None,
+        _times: Optional[Iterable[float]] = None,
     ) -> None:
         if retain is None:
             retain = spec.window.size
@@ -133,8 +153,63 @@ class _AdaptiveBase:
         self._spec = spec
         self.retain = retain
         self.inner = _inner if _inner is not None else create_detector(spec)
+        self.timed = _timed(spec)
         self.migrations = 0
         self._quiesced = False
+        #: Retained identifiers, and their timestamps when timed; both
+        #: deques share ``retain`` so they stay aligned.
+        self._buffer: Deque[int] = deque(
+            (int(x) for x in (() if _buffer is None else _buffer)), maxlen=retain
+        )
+        self._times: Optional[Deque[float]] = (
+            deque(
+                (float(t) for t in (() if _times is None else _times)), maxlen=retain
+            )
+            if self.timed
+            else None
+        )
+        bind_time_model(
+            self, self.timed, self._process, self._process_batch, self._query
+        )
+
+    def _process(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        verdict = wrap_timed(self.inner).observe(identifier, timestamp)
+        self._buffer.append(int(identifier))
+        if self._times is not None:
+            self._times.append(float(timestamp))
+        return verdict
+
+    def _process_batch(
+        self, identifiers: np.ndarray, timestamps: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        verdicts = wrap_timed(self.inner).observe_batch(identifiers, timestamps)
+        self._buffer.extend(int(x) for x in np.asarray(identifiers)[-self.retain :])
+        if self._times is not None:
+            self._times.extend(
+                float(t) for t in np.asarray(timestamps)[-self.retain :]
+            )
+        return verdicts
+
+    def _query(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        if self.timed:
+            return self.inner.query_at(identifier, timestamp)
+        return self.inner.query(identifier)
+
+    def _replay(self, fresh) -> None:
+        if not self._buffer:
+            return
+        wrap_timed(fresh).observe_batch(
+            np.fromiter(self._buffer, dtype=np.uint64),
+            None if self._times is None else np.fromiter(self._times, dtype=np.float64),
+        )
+
+    def _check_spec(self, new_spec: DetectorSpec) -> None:
+        if _timed(new_spec) is not self.timed:
+            models = ("count-based", "time-based")
+            raise ConfigurationError(
+                f"cannot migrate a {models[self.timed]} adaptive detector to "
+                f"the {models[not self.timed]} algorithm {new_spec.algorithm!r}"
+            )
 
     # -- lifecycle ---------------------------------------------------
 
@@ -227,214 +302,58 @@ class _AdaptiveBase:
         )
 
 
-class AdaptiveDetector(_AdaptiveBase):
-    """Count-based resizable detector (see module docstring).
-
-    Parameters
-    ----------
-    spec:
-        The :class:`DetectorSpec` of the initial inner detector; must be
-        a count-based algorithm.
-    retain:
-        Replay-window length in clicks; defaults to ``spec.window.size``
-        (the window the sketch guarantees anyway).
-    """
-
-    def __init__(
-        self,
-        spec: DetectorSpec,
-        *,
-        retain: Optional[int] = None,
-        _inner=None,
-        _buffer: Optional[Iterable[int]] = None,
-    ) -> None:
-        if spec.algorithm in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                f"{spec.algorithm} is time-based; use AdaptiveTimedDetector"
-            )
-        super().__init__(spec, retain=retain, _inner=_inner)
-        self._buffer: Deque[int] = deque(_buffer or (), maxlen=self.retain)
-
-    def _check_spec(self, new_spec: DetectorSpec) -> None:
-        if new_spec.algorithm in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                "cannot migrate a count-based adaptive detector to the "
-                f"time-based algorithm {new_spec.algorithm!r}"
-            )
-
-    def _replay(self, fresh) -> None:
-        if not self._buffer:
-            return
-        batch = getattr(fresh, "process_batch", None)
-        if batch is not None:
-            batch(np.fromiter(self._buffer, dtype=np.uint64))
-        else:
-            for identifier in self._buffer:
-                fresh.process(identifier)
-
-    def process(self, identifier: int) -> bool:
-        verdict = self.inner.process(identifier)
-        self._buffer.append(int(identifier))
-        return verdict
-
-    def process_batch(self, identifiers: np.ndarray) -> np.ndarray:
-        verdicts = self.inner.process_batch(identifiers)
-        tail = np.asarray(identifiers)[-self.retain :]
-        self._buffer.extend(int(x) for x in tail)
-        return verdicts
-
-    def query(self, identifier: int) -> bool:
-        return self.inner.query(identifier)
-
-
-class AdaptiveTimedDetector(_AdaptiveBase):
-    """Time-based resizable detector (see module docstring).
-
-    Retains ``(identifier, timestamp)`` pairs and replays them through
-    ``process_at`` / ``process_batch_at`` on migrate.  Deliberately does
-    **not** define ``process`` so :func:`~repro.detection.is_timed`
-    classifies it as timed.
-    """
-
-    def __init__(
-        self,
-        spec: DetectorSpec,
-        *,
-        retain: Optional[int] = None,
-        _inner=None,
-        _buffer: Optional[Iterable[Tuple[int, float]]] = None,
-    ) -> None:
-        if spec.algorithm not in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                f"{spec.algorithm} is count-based; use AdaptiveDetector"
-            )
-        super().__init__(spec, retain=retain, _inner=_inner)
-        self._buffer: Deque[Tuple[int, float]] = deque(
-            _buffer or (), maxlen=self.retain
-        )
-
-    def _check_spec(self, new_spec: DetectorSpec) -> None:
-        if new_spec.algorithm not in TIME_BASED_ALGORITHMS:
-            raise ConfigurationError(
-                "cannot migrate a time-based adaptive detector to the "
-                f"count-based algorithm {new_spec.algorithm!r}"
-            )
-
-    def _replay(self, fresh) -> None:
-        if not self._buffer:
-            return
-        batch = getattr(fresh, "process_batch_at", None)
-        if batch is not None:
-            ids = np.fromiter((i for i, _ in self._buffer), dtype=np.uint64)
-            times = np.fromiter((t for _, t in self._buffer), dtype=np.float64)
-            batch(ids, times)
-        else:
-            for identifier, timestamp in self._buffer:
-                fresh.process_at(identifier, timestamp)
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        verdict = self.inner.process_at(identifier, timestamp)
-        self._buffer.append((int(identifier), float(timestamp)))
-        return verdict
-
-    def process_batch_at(
-        self, identifiers: np.ndarray, timestamps: np.ndarray
-    ) -> np.ndarray:
-        verdicts = self.inner.process_batch_at(identifiers, timestamps)
-        ids = np.asarray(identifiers)[-self.retain :]
-        times = np.asarray(timestamps)[-self.retain :]
-        self._buffer.extend(
-            (int(i), float(t)) for i, t in zip(ids, times)
-        )
-        return verdicts
-
-    def query_at(self, identifier: int, timestamp: float) -> bool:
-        return self.inner.query_at(identifier, timestamp)
-
-
-def adaptive_detector(
-    spec: DetectorSpec, *, retain: Optional[int] = None
-):
-    """Build the right adaptive wrapper for ``spec``'s time model."""
-    if spec.algorithm in TIME_BASED_ALGORITHMS:
-        return AdaptiveTimedDetector(spec, retain=retain)
-    return AdaptiveDetector(spec, retain=retain)
-
-
 # -- checkpointing ---------------------------------------------------
 
 
 def _save_adaptive(detector: AdaptiveDetector) -> bytes:
     inner_blob = save_detector(detector.inner)
     ids = np.fromiter(detector._buffer, dtype=np.uint64)
+    payload = ids.tobytes()
+    if detector._times is not None:
+        payload += np.fromiter(detector._times, dtype=np.float64).tobytes()
     header = {
-        "kind": "adaptive",
+        "kind": "adaptive-timed" if detector.timed else "adaptive",
         "spec": spec_to_dict(detector._spec),
         "retain": detector.retain,
         "migrations": detector.migrations,
         "buffer_len": int(ids.size),
     }
-    return pack_frame(header, ids.tobytes() + inner_blob)
+    return pack_frame(header, payload + inner_blob)
 
 
-def _load_adaptive(header: dict, payload: bytes) -> AdaptiveDetector:
+def _load_adaptive(header: dict, payload: bytes, timed: bool) -> AdaptiveDetector:
     buffer_len = int(header["buffer_len"])
-    split = buffer_len * 8
-    ids = np.frombuffer(payload[:split], dtype=np.uint64)
-    if ids.size != buffer_len:
-        raise CheckpointError("adaptive checkpoint buffer truncated")
-    inner = load_detector(payload[split:])
+    end = buffer_len * (16 if timed else 8)
+    ids = np.frombuffer(payload[: buffer_len * 8], dtype=np.uint64)
+    times = (
+        np.frombuffer(payload[buffer_len * 8 : end], dtype=np.float64)
+        if timed
+        else None
+    )
+    if ids.size != buffer_len or (timed and times.size != buffer_len):
+        raise CheckpointError(f"{header['kind']} checkpoint buffer truncated")
     spec = spec_from_dict(header["spec"])
+    if _timed(spec) is not timed:
+        raise CheckpointError(
+            f"{header['kind']} checkpoint carries a spec of the other time model"
+        )
     detector = AdaptiveDetector(
         spec,
         retain=int(header["retain"]),
-        _inner=inner,
-        _buffer=(int(x) for x in ids),
-    )
-    detector.migrations = int(header["migrations"])
-    return detector
-
-
-def _save_adaptive_timed(detector: AdaptiveTimedDetector) -> bytes:
-    inner_blob = save_detector(detector.inner)
-    ids = np.fromiter((i for i, _ in detector._buffer), dtype=np.uint64)
-    times = np.fromiter((t for _, t in detector._buffer), dtype=np.float64)
-    header = {
-        "kind": "adaptive-timed",
-        "spec": spec_to_dict(detector._spec),
-        "retain": detector.retain,
-        "migrations": detector.migrations,
-        "buffer_len": int(ids.size),
-    }
-    return pack_frame(header, ids.tobytes() + times.tobytes() + inner_blob)
-
-
-def _load_adaptive_timed(header: dict, payload: bytes) -> AdaptiveTimedDetector:
-    buffer_len = int(header["buffer_len"])
-    ids = np.frombuffer(payload[: buffer_len * 8], dtype=np.uint64)
-    times = np.frombuffer(
-        payload[buffer_len * 8 : buffer_len * 16], dtype=np.float64
-    )
-    if ids.size != buffer_len or times.size != buffer_len:
-        raise CheckpointError("adaptive-timed checkpoint buffer truncated")
-    inner = load_detector(payload[buffer_len * 16 :])
-    spec = spec_from_dict(header["spec"])
-    detector = AdaptiveTimedDetector(
-        spec,
-        retain=int(header["retain"]),
-        _inner=inner,
-        _buffer=((int(i), float(t)) for i, t in zip(ids, times)),
+        _inner=load_detector(payload[end:]),
+        _buffer=ids,
+        _times=times,
     )
     detector.migrations = int(header["migrations"])
     return detector
 
 
 register_checkpoint_kind(
-    "adaptive", AdaptiveDetector, _save_adaptive, _load_adaptive
+    "adaptive", AdaptiveDetector, _save_adaptive, partial(_load_adaptive, timed=False)
 )
 register_checkpoint_kind(
     "adaptive-timed",
-    AdaptiveTimedDetector,
-    _save_adaptive_timed,
-    _load_adaptive_timed,
+    AdaptiveDetector,
+    _save_adaptive,
+    partial(_load_adaptive, timed=True),
 )

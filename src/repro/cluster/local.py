@@ -255,8 +255,8 @@ def rebalance_checkpoints(
 class LocalCluster:
     """Router + N serve nodes, one process, full cluster semantics.
 
-    ``detector_factory`` must return a *pristine* sharded detector
-    (``ShardedDetector`` or ``TimeShardedDetector``) on every call; its
+    ``detector_factory`` must return a *pristine* ``ShardedDetector``
+    (count- or time-based) on every call; its
     ``num_shards`` fixes the cluster's ``total_shards``.  The factory is
     re-invoked to build fallback slices when a node boots — a node with
     a readable checkpoint restores from it instead.

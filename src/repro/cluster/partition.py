@@ -21,7 +21,8 @@ blobs between nodes without ever deserializing a filter.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,9 +34,9 @@ from ..core.checkpoint import (
     save_detector,
     unpack_frame,
 )
+from ..detection.api import batch_arrays, bind_time_model, fleet_timed, wrap_timed
 from ..detection.sharded import (
     ShardedDetector,
-    TimeShardedDetector,
     default_router,
     route_batch,
     shard_groups,
@@ -44,19 +45,31 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "ClusterSlice",
-    "TimeClusterSlice",
     "split_sharded",
     "slice_shard_blobs",
     "build_slice_blob",
 ]
 
 
-class _SliceBase:
-    """Shared plumbing for count- and time-based cluster slices."""
+#: Slice checkpoint kind per time model.
+SLICE_KINDS = {False: "cluster-slice", True: "cluster-time-slice"}
 
-    kind: str = ""
 
-    def __init__(self, total_shards: int, shards: Dict[int, object]) -> None:
+class ClusterSlice:
+    """The node-local face of one global ``ShardedDetector``.
+
+    The time model comes from the owned shards (``timed`` pins it for a
+    slice that owns none): count-based slices expose ``process`` /
+    ``process_batch`` / ``query``, time-based slices ``process_at`` /
+    ``process_batch_at`` / ``query_at``.
+    """
+
+    def __init__(
+        self,
+        total_shards: int,
+        shards: Dict[int, object],
+        timed: Optional[bool] = None,
+    ) -> None:
         total_shards = int(total_shards)
         if total_shards < 1:
             raise ConfigurationError(
@@ -72,7 +85,17 @@ class _SliceBase:
         self.shards: Dict[int, object] = {
             int(shard): detector for shard, detector in sorted(shards.items())
         }
+        owned_timed = fleet_timed(self.shards.values()) if self.shards else timed
+        if timed is not None and owned_timed is not timed:
+            raise ConfigurationError(
+                f"slice declared timed={timed} owns shards of the other time model"
+            )
+        self.timed = bool(owned_timed)
+        self.kind = SLICE_KINDS[self.timed]
         self._scalar_router = default_router(total_shards)
+        bind_time_model(
+            self, self.timed, self._process, self._process_batch, self._query
+        )
 
     @property
     def owned(self) -> Tuple[int, ...]:
@@ -95,6 +118,34 @@ class _SliceBase:
                 "the router's shard->node assignment disagrees with this "
                 "node's slice"
             ) from None
+
+    def _process(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self._owned_detector(self._scalar_router(int(identifier)))
+        return wrap_timed(shard).observe(
+            int(identifier), None if timestamp is None else float(timestamp)
+        )
+
+    def _process_batch(
+        self, identifiers: "np.ndarray", timestamps: Optional["np.ndarray"] = None
+    ) -> "np.ndarray":
+        identifiers, timestamps = batch_arrays(identifiers, timestamps, self.timed)
+        out = np.empty(identifiers.shape[0], dtype=bool)
+        if identifiers.shape[0] == 0:
+            return out
+        for shard, positions in shard_groups(
+            route_batch(identifiers, self.total_shards)
+        ):
+            out[positions] = wrap_timed(self._owned_detector(shard)).observe_batch(
+                identifiers[positions],
+                None if timestamps is None else timestamps[positions],
+            )
+        return out
+
+    def _query(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self._owned_detector(self._scalar_router(int(identifier)))
+        if self.timed:
+            return shard.query_at(int(identifier), float(timestamp))
+        return shard.query(int(identifier))
 
     def checkpoint_shard(self, shard: int) -> bytes:
         """One owned shard's blob — comparable byte-for-byte with
@@ -122,79 +173,11 @@ class _SliceBase:
         }
 
 
-class ClusterSlice(_SliceBase):
-    """Count-based slice: the node-local face of a ``ShardedDetector``."""
-
-    kind = "cluster-slice"
-
-    def process(self, identifier: int) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).process(int(identifier))
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(
-                f"identifiers must be 1-D, got {identifiers.ndim}-D"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(
-            route_batch(identifiers, self.total_shards)
-        ):
-            out[positions] = self._owned_detector(shard).process_batch(
-                identifiers[positions]
-            )
-        return out
-
-    def query(self, identifier: int) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).query(int(identifier))
-
-
-class TimeClusterSlice(_SliceBase):
-    """Time-based slice: the node-local face of a ``TimeShardedDetector``."""
-
-    kind = "cluster-time-slice"
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self._scalar_router(int(identifier))
-        return self._owned_detector(shard).process_at(
-            int(identifier), float(timestamp)
-        )
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(
-                f"identifiers must be 1-D, got {identifiers.ndim}-D"
-            )
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(
-            route_batch(identifiers, self.total_shards)
-        ):
-            out[positions] = self._owned_detector(shard).process_batch_at(
-                identifiers[positions], timestamps[positions]
-            )
-        return out
-
-
 def split_sharded(
-    detector: Union[ShardedDetector, TimeShardedDetector],
+    detector: ShardedDetector,
     assignment: "np.ndarray",
     num_nodes: int,
-) -> List[_SliceBase]:
+) -> List[ClusterSlice]:
     """Split one sharded detector into ``num_nodes`` slices.
 
     The slices *take ownership of the detector's shard objects* — they
@@ -202,14 +185,9 @@ def split_sharded(
     fleet is bit-identical to the reference by construction.  The
     reference detector must not be used afterwards.
     """
-    if isinstance(detector, ShardedDetector):
-        cls: type = ClusterSlice
-    elif isinstance(detector, TimeShardedDetector):
-        cls = TimeClusterSlice
-    else:
+    if not isinstance(detector, ShardedDetector):
         raise ConfigurationError(
-            f"cannot split a {type(detector).__name__}; need a "
-            "ShardedDetector or TimeShardedDetector"
+            f"cannot split a {type(detector).__name__}; need a ShardedDetector"
         )
     if not detector._router_is_default:
         raise ConfigurationError(
@@ -237,13 +215,14 @@ def split_sharded(
             f"assignment references nodes outside [0, {num_nodes})"
         )
     return [
-        cls(
+        ClusterSlice(
             total,
             {
                 shard: detector.shards[shard]
                 for shard in range(total)
                 if int(assignment[shard]) == node
             },
+            timed=detector.timed,
         )
         for node in range(num_nodes)
     ]
@@ -254,7 +233,7 @@ def split_sharded(
 # frame addressable so rebalancing can regroup raw blobs between nodes.
 # ----------------------------------------------------------------------
 
-def _save_slice(detector: _SliceBase) -> bytes:
+def _save_slice(detector: ClusterSlice) -> bytes:
     owned = list(detector.shards)
     blobs = [save_detector(detector.shards[shard]) for shard in owned]
     header = {
@@ -287,15 +266,16 @@ def _split_slice_payload(
     return total, blobs
 
 
-def _load_slice(cls):
-    def load(header: Dict[str, object], payload: bytes) -> _SliceBase:
-        total, blobs = _split_slice_payload(header, payload)
-        return cls(
+def _load_slice(header: Dict[str, object], payload: bytes, timed: bool) -> ClusterSlice:
+    total, blobs = _split_slice_payload(header, payload)
+    try:
+        return ClusterSlice(
             total,
             {shard: load_detector(blob) for shard, blob in blobs.items()},
+            timed=timed,
         )
-
-    return load
+    except ConfigurationError as error:
+        raise CheckpointError(f"bad cluster-slice checkpoint: {error}") from error
 
 
 def slice_shard_blobs(blob: bytes) -> Tuple[int, str, Dict[int, bytes]]:
@@ -308,7 +288,7 @@ def slice_shard_blobs(blob: bytes) -> Tuple[int, str, Dict[int, bytes]]:
     """
     header, payload = unpack_frame(blob)
     kind = header.get("kind")
-    if kind not in (ClusterSlice.kind, TimeClusterSlice.kind):
+    if kind not in SLICE_KINDS.values():
         raise CheckpointError(
             f"expected a cluster-slice checkpoint, got kind {kind!r}"
         )
@@ -321,7 +301,7 @@ def build_slice_blob(
 ) -> bytes:
     """Inverse of :func:`slice_shard_blobs`: regroup raw shard blobs
     into a loadable slice checkpoint for a (possibly different) node."""
-    if kind not in (ClusterSlice.kind, TimeClusterSlice.kind):
+    if kind not in SLICE_KINDS.values():
         raise CheckpointError(f"unknown cluster-slice kind {kind!r}")
     owned = sorted(int(shard) for shard in shard_blobs)
     blobs = [shard_blobs[shard] for shard in owned]
@@ -335,11 +315,8 @@ def build_slice_blob(
 
 
 register_checkpoint_kind(
-    ClusterSlice.kind, ClusterSlice, _save_slice, _load_slice(ClusterSlice)
+    SLICE_KINDS[False], ClusterSlice, _save_slice, partial(_load_slice, timed=False)
 )
 register_checkpoint_kind(
-    TimeClusterSlice.kind,
-    TimeClusterSlice,
-    _save_slice,
-    _load_slice(TimeClusterSlice),
+    SLICE_KINDS[True], ClusterSlice, _save_slice, partial(_load_slice, timed=True)
 )

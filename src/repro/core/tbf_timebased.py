@@ -7,12 +7,15 @@ unit information is inserted into the entries of TBF."
 
 Timestamps are *time-unit indices* rather than arrival positions, so
 the window "contains the last ``R`` units" — a granularity-``T/R``
-approximation of the ideal time-based sliding window (elements expire
-at unit boundaries, at most one unit late).  Cleaning advances with the
-clock, not with arrivals: each elapsed unit funds one cursor quota of
-``ceil(m / (C + 1))`` entries.  Long idle gaps are fast-forwarded — once
-every timestamp in the filter has expired, a single full wipe replaces
-the tick-by-tick replay.
+approximation of the ideal time-based sliding window.  Elements expire
+at unit boundaries, when their unit leaves the window: a click is
+forgotten up to one unit *early* (a repeat at age ``T - T/R`` or more
+may be missed, depending on where in its unit the click fell) and is
+never remembered late (at age ``T`` or more it is gone).  Cleaning
+advances with the clock, not with arrivals: each elapsed unit funds one
+cursor quota of ``ceil(m / (C + 1))`` entries.  Long idle gaps are
+fast-forwarded — once every timestamp in the filter has expired, a
+single full wipe replaces the tick-by-tick replay.
 """
 
 from __future__ import annotations

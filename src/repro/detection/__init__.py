@@ -32,7 +32,6 @@ from .scoring import SourceScoreboard, SourceStats
 from .sharded import (
     FailoverPolicy,
     ShardedDetector,
-    TimeShardedDetector,
     default_router,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "PipelineResult",
     "classify_stream",
     "ShardedDetector",
-    "TimeShardedDetector",
     "FailoverPolicy",
     "default_router",
     # Scoring, quality, alerting, coalition analysis.

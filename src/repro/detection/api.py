@@ -40,6 +40,9 @@ __all__ = [
     "TimedAdapter",
     "wrap_timed",
     "is_timed",
+    "fleet_timed",
+    "bind_time_model",
+    "batch_arrays",
     "DetectorLifecycle",
     "LifecycleAdapter",
     "as_lifecycle",
@@ -120,6 +123,72 @@ def is_timed(detector: Any) -> bool:
     if hasattr(detector, "process"):
         return False
     return hasattr(detector, "process_at")
+
+
+def fleet_timed(detectors: Any) -> bool:
+    """The one time model a group of wrapped detectors shares.
+
+    Wrappers (sharded fleets, cluster slices) take their time model from
+    the detectors they hold, so mixing count-based and time-based
+    detectors in one wrapper is a configuration error.
+    """
+    models = {is_timed(detector) for detector in detectors}
+    if len(models) > 1:
+        raise ConfigurationError(
+            "cannot mix count-based and time-based detectors in one wrapper"
+        )
+    return models == {True}
+
+
+#: The names a wrapper's paths are bound under, per time model.
+_SURFACES = {
+    False: ("process", "process_batch", "query"),
+    True: ("process_at", "process_batch_at", "query_at"),
+}
+
+
+def bind_time_model(
+    wrapper: Any, timed: bool, scalar: Any, batch: Any, query: Any
+) -> None:
+    """Expose a wrapper's paths under the names of its time model.
+
+    A wrapper writes one scalar path ``scalar(identifier,
+    timestamp=None)``, one batch path ``batch(identifiers,
+    timestamps=None)`` and one ``query(identifier, timestamp=None)``,
+    and binds them on the *instance* as ``process`` / ``process_batch``
+    / ``query`` (count-based) or ``process_at`` / ``process_batch_at`` /
+    ``query_at`` (time-based).  Nothing is bound on the class, so
+    :func:`is_timed`, the :class:`Detector` / :class:`TimedDetector`
+    protocols and every ``hasattr`` probe see the same surface the
+    wrapped detectors expose.  A ``None`` path leaves its name unbound.
+    """
+    for name, method in zip(_SURFACES[timed], (scalar, batch, query)):
+        if method is not None:
+            setattr(wrapper, name, method)
+
+
+def batch_arrays(
+    identifiers: Any, timestamps: Any, timed: bool
+) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+    """Validated ``(uint64 ids, float64 timestamps or None)`` for a batch.
+
+    Count-based batches drop ``timestamps``; time-based batches need one
+    timestamp per identifier.
+    """
+    identifiers = np.asarray(identifiers, dtype=np.uint64)
+    if identifiers.ndim != 1:
+        raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
+    if not timed:
+        return identifiers, None
+    if timestamps is None:
+        raise ConfigurationError("a time-based batch needs timestamps")
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    if timestamps.shape != identifiers.shape:
+        raise ValueError(
+            f"timestamps shape {timestamps.shape} != identifiers "
+            f"shape {identifiers.shape}"
+        )
+    return identifiers, timestamps
 
 
 class TimedAdapter:

@@ -24,17 +24,11 @@ For time-based algorithms (``gbf-time`` / ``tbf-time``) the window spec
 sizes the sketch — ``window.size`` is the expected number of arrivals
 per window — while ``duration`` sets the wall-clock window length the
 detector actually enforces.
-
-The pre-spec calling convention ``create_detector(algorithm, window,
-memory_bits=..., ...)`` still works but is deprecated: it emits a
-:class:`DeprecationWarning` and forwards to the spec path.  See the
-README migration note.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..analysis.sizing import (
@@ -293,29 +287,18 @@ class DetectorSpec:
                 )
 
 
-def create_detector(spec, window: Optional[WindowSpec] = None, **kwargs):
+def create_detector(spec: DetectorSpec, *extra, **options):
     """Build the detector a :class:`DetectorSpec` describes.
 
-    The blessed call shape is ``create_detector(spec)``.  The legacy
-    shape ``create_detector(algorithm, window, memory_bits=...,
-    target_fp=..., num_hashes=..., seed=...)`` is deprecated — it warns
-    and forwards to the spec path, building the identical detector.
+    The spec is the whole description: extra arguments are refused
+    rather than silently ignored.
     """
-    if isinstance(spec, DetectorSpec):
-        if window is not None or kwargs:
-            raise ConfigurationError(
-                "create_detector(DetectorSpec) takes no extra arguments; "
-                "put them in the spec"
-            )
-        return _build(spec)
-    warnings.warn(
-        "create_detector(algorithm, window, **kwargs) is deprecated; "
-        "pass a DetectorSpec instead: "
-        "create_detector(DetectorSpec(algorithm, window, ...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build(DetectorSpec(spec, window, **kwargs))
+    if not isinstance(spec, DetectorSpec) or extra or options:
+        raise ConfigurationError(
+            "create_detector takes exactly one DetectorSpec; put every "
+            "option in the spec"
+        )
+    return _build(spec)
 
 
 def _build(spec: DetectorSpec):
@@ -323,6 +306,8 @@ def _build(spec: DetectorSpec):
     algorithm = spec.algorithm
     if algorithm == "exact":
         return _create_exact(window)
+    if spec.shards > 1 or spec.engine == "parallel":
+        return _build_sharded(spec)
 
     if algorithm == "gbf":
         _require(window, "jumping", algorithm)
@@ -350,13 +335,10 @@ def _build(spec: DetectorSpec):
     if algorithm == "tbf":
         _require(window, "sliding", algorithm)
         plan = _tbf_plan(spec)
-        k = spec.num_hashes or plan.num_hashes
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_tbf(spec, plan.num_entries, k)
         return TBFDetector(
             window.size,
             plan.num_entries,
-            k,
+            spec.num_hashes or plan.num_hashes,
             cleanup_slack=plan.cleanup_slack,
             seed=spec.seed,
         )
@@ -364,14 +346,11 @@ def _build(spec: DetectorSpec):
     if algorithm == "tbf-time":
         _require(window, "sliding", algorithm)
         plan = _tbf_plan(spec)
-        k = spec.num_hashes or plan.num_hashes
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_tbf_time(spec, plan.num_entries, k)
         return TimeBasedTBFDetector(
             spec.duration,
             spec.resolution,
             plan.num_entries,
-            k,
+            spec.num_hashes or plan.num_hashes,
             # Sizing plans carry count-window slack, which does not
             # apply to the time-based cleaner; only exact params pin it.
             cleanup_slack=(
@@ -385,8 +364,6 @@ def _build(spec: DetectorSpec):
         plan = _apbf_plan(spec)
         from ..adaptive.filters import AgePartitionedBFDetector
 
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_sliced(spec, plan)
         return AgePartitionedBFDetector(
             plan.num_required,
             plan.num_aged,
@@ -400,8 +377,6 @@ def _build(spec: DetectorSpec):
         plan = _tlbf_plan(spec)
         from ..adaptive.filters import TimeLimitedBFDetector
 
-        if spec.shards > 1 or spec.engine == "parallel":
-            return _sharded_sliced(spec, plan)
         return TimeLimitedBFDetector(
             spec.duration,
             plan.num_required,
@@ -541,78 +516,59 @@ def _tlbf_plan(spec: DetectorSpec):
     return plan_tlbf_for_target(spec.window.size, spec.resolution, spec.target_fp)
 
 
-def _sharded_tbf(spec: DetectorSpec, total_entries: int, num_hashes: int):
-    """Count-based sharded/parallel TBF from one spec (memory split evenly)."""
-    if spec.engine == "parallel":
-        from ..parallel import ParallelShardedDetector
+def _shard_params(spec: DetectorSpec):
+    """Per-shard exact params: the spec's totals split evenly.
 
-        return ParallelShardedDetector._of_tbf(
-            spec.window.size, spec.shards, total_entries, num_hashes, seed=spec.seed
+    The exact inverse of :func:`repro.detection.sharded._combined_spec`,
+    which multiplies the split quantities back up by the shard count.
+    """
+    n = spec.shards
+    if spec.algorithm in ("tbf", "tbf-time"):
+        plan = _tbf_plan(spec)
+        return TBFParams(
+            max(1, plan.num_entries // n), spec.num_hashes or plan.num_hashes
         )
+    if spec.algorithm == "apbf":
+        plan = _apbf_plan(spec)
+        return APBFParams(
+            plan.num_required,
+            plan.num_aged,
+            max(1, plan.slice_bits // n),
+            max(1, plan.generation_size // n),
+        )
+    plan = _tlbf_plan(spec)
+    return TLBFParams(plan.num_required, plan.num_aged, max(1, plan.slice_bits // n))
+
+
+def _build_sharded(spec: DetectorSpec):
+    """``spec.shards`` leaf detectors behind one :class:`ShardedDetector`.
+
+    Leaf ``i`` is built from the per-shard spec: the window and the
+    memory split evenly, seed ``spec.seed + i``.  ``engine="parallel"``
+    lifts the fleet into one worker process per shard.
+    """
     from .sharded import ShardedDetector
 
-    return ShardedDetector._of_tbf(
-        spec.window.size, spec.shards, total_entries, num_hashes, seed=spec.seed
-    )
-
-
-def _sharded_tbf_time(spec: DetectorSpec, total_entries: int, num_hashes: int):
-    """Time-based sharded/parallel TBF (exact window semantics per shard)."""
-    if spec.engine == "parallel":
-        from ..parallel import ParallelTimeShardedDetector
-
-        return ParallelTimeShardedDetector._of_tbf(
-            spec.duration, spec.resolution, spec.shards, total_entries,
-            num_hashes, seed=spec.seed,
-        )
-    from .sharded import TimeShardedDetector
-
-    return TimeShardedDetector._of_tbf(
-        spec.duration, spec.resolution, spec.shards, total_entries,
-        num_hashes, seed=spec.seed,
-    )
-
-
-def _sharded_sliced(spec: DetectorSpec, plan):
-    """Sharded/parallel sliced filter (APBF / time-limited BF).
-
-    The plan carries totals; each shard gets an even split of the slice
-    bits (and, for the APBF, of the generation size) with per-shard
-    seeds, mirroring the TBF convention.
-    """
-    from ..adaptive.filters import AgePartitionedBFDetector, TimeLimitedBFDetector
-    from .sharded import ShardedDetector, TimeShardedDetector
-
     n = spec.shards
-    slice_bits = max(1, plan.slice_bits // n)
-    if spec.algorithm == "apbf":
-        generation = max(1, plan.generation_size // n)
-        shards = [
-            AgePartitionedBFDetector(
-                plan.num_required, plan.num_aged, slice_bits, generation,
-                seed=spec.seed + shard,
-            )
-            for shard in range(n)
-        ]
-        base = ShardedDetector(shards)
-    else:
-        shards = [
-            TimeLimitedBFDetector(
-                spec.duration, plan.num_required, plan.num_aged, slice_bits,
-                seed=spec.seed + shard,
-            )
-            for shard in range(n)
-        ]
-        base = TimeShardedDetector(shards)
+    window = spec.window
+    leaf = replace(
+        spec,
+        window=WindowSpec(window.kind, max(1, window.size // n), window.num_subwindows),
+        memory_bits=None,
+        target_fp=None,
+        num_hashes=None,
+        shards=1,
+        engine="inline",
+        params=_shard_params(spec),
+    )
+    fleet = ShardedDetector(
+        [_build(replace(leaf, seed=spec.seed + shard)) for shard in range(n)]
+    )
     if spec.engine == "parallel":
-        if spec.algorithm == "apbf":
-            from ..parallel import ParallelShardedDetector
+        from ..parallel import lift_sharded
 
-            return ParallelShardedDetector(base)
-        from ..parallel import ParallelTimeShardedDetector
-
-        return ParallelTimeShardedDetector(base)
-    return base
+        return lift_sharded(fleet)
+    return fleet
 
 
 def _create_exact(window: WindowSpec):

@@ -184,8 +184,8 @@ class DetectionPipeline:
         construction.
 
         With ``workers=N`` the detector (which must be a
-        ``ShardedDetector`` / ``TimeShardedDetector`` with ``N`` shards,
-        or an already-parallel engine) is lifted into a multi-process
+        ``ShardedDetector`` with ``N`` shards, or an already-parallel
+        engine) is lifted into a multi-process
         engine for the duration of the run: each shard executes in its
         own worker process fed through shared-memory rings.  Afterwards
         the workers' final state is written back into the original

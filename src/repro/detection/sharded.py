@@ -33,7 +33,7 @@ rather than decided silently.
 from __future__ import annotations
 
 import enum
-import warnings
+from functools import partial
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -48,6 +48,7 @@ from ..core.checkpoint import (
 )
 from ..errors import ConfigurationError
 from ..hashing.family import _splitmix64, splitmix64_batch
+from .api import batch_arrays, bind_time_model, fleet_timed, wrap_timed
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,16 +128,175 @@ class FailoverPolicy(enum.Enum):
     FAIL_CLOSED = "fail-closed"
 
 
-class _ShardFailover:
-    """Degraded-shard bookkeeping shared by both sharded detectors."""
+class _FleetView:
+    """Read side of fleet bookkeeping, shared with the parallel engine.
 
-    shards: List
+    ``_degraded`` maps shard index -> ``{"policy": FailoverPolicy,
+    "clicks": int}``; ``_per_shard_arrivals`` counts the clicks routed
+    to each shard (``None`` for time-based fleets).
+    """
 
-    def _init_failover(self) -> None:
+    _degraded: Dict[int, Dict[str, object]]
+    _per_shard_arrivals: Optional[List[int]]
+
+    def load_imbalance(self) -> float:
+        """Max shard load over mean shard load (1.0 = perfectly even).
+
+        Count-based fleets only: it measures how far the local windows
+        drift from the global one.
+        """
+        arrivals = self.shard_arrivals()
+        total = sum(arrivals)
+        if total == 0:
+            return 1.0
+        return max(arrivals) / (total / len(arrivals))
+
+    def shard_arrivals(self) -> List[int]:
+        """Clicks routed to each shard so far (count-based fleets only)."""
+        if self._per_shard_arrivals is None:
+            raise ConfigurationError("time-based fleets do not count arrivals")
+        return list(self._per_shard_arrivals)
+
+    def degraded_shards(self) -> Dict[int, Dict[str, object]]:
+        """Currently degraded shards: ``{shard: {"policy", "clicks"}}``."""
+        return {
+            shard: {"policy": entry["policy"].value, "clicks": entry["clicks"]}
+            for shard, entry in self._degraded.items()
+        }
+
+    @property
+    def is_degraded(self) -> bool:
+        return bool(self._degraded)
+
+    def _failover_header(self) -> Dict[str, Dict[str, object]]:
+        return {str(shard): entry for shard, entry in self.degraded_shards().items()}
+
+    def _degraded_verdict(self, shard: int, count: bool = True) -> Optional[bool]:
+        """The policy verdict of a degraded shard (``None`` when healthy),
+        tallying the click unless ``count`` is false."""
+        entry = self._degraded.get(shard)
+        if entry is None:
+            return None
+        if count:
+            entry["clicks"] = int(entry["clicks"]) + 1
+        return entry["policy"] is FailoverPolicy.FAIL_CLOSED
+
+
+class ShardedDetector(_FleetView):
+    """Hash-partitioned duplicate detector over one shard per worker.
+
+    The time model comes from the shards.  Count-based shards (each
+    configured with a window of ``global_window / len(shards)``) give
+    the ``process`` / ``process_batch`` / ``query`` surface; time-based
+    shards (each over the *full* window duration — the global clock
+    travels with each click, so sharding preserves the single-detector
+    semantics exactly) give ``process_at`` / ``process_batch_at`` /
+    ``query_at``.  Build the common configurations with
+    :func:`repro.detection.create_detector` and a sharded
+    :class:`~repro.detection.DetectorSpec`.
+
+    Parameters
+    ----------
+    shards:
+        One detector per worker, all of one time model.
+    router:
+        Identifier -> shard index; defaults to :func:`default_router`.
+    """
+
+    def __init__(
+        self,
+        shards: List,
+        router: Optional[Callable[[int], int]] = None,
+    ) -> None:
+        if not shards:
+            raise ConfigurationError("need at least one shard")
+        self.shards = list(shards)
+        self.timed = fleet_timed(self.shards)
+        self._router_is_default = router is None
+        self.router = router or default_router(len(self.shards))
+        # Arrival counts measure the skew of count-based local windows;
+        # time-based fleets have no such skew and keep none.
+        self._per_shard_arrivals = None if self.timed else [0] * len(self.shards)
         #: shard index -> {"policy": FailoverPolicy, "clicks": int}
         self._degraded: Dict[int, Dict[str, object]] = {}
         self._failover_counter = None
         self._restore_counter = None
+        bind_time_model(
+            self, self.timed, self._process, self._process_batch, self._query
+        )
+
+    # -- detection ----------------------------------------------------
+
+    def _process(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self.router(identifier)
+        if self._per_shard_arrivals is not None:
+            self._per_shard_arrivals[shard] += 1
+        verdict = self._degraded_verdict(shard)
+        if verdict is not None:
+            return verdict
+        return wrap_timed(self.shards[shard]).observe(identifier, timestamp)
+
+    def _process_batch(
+        self, identifiers: "np.ndarray", timestamps: Optional["np.ndarray"] = None
+    ) -> "np.ndarray":
+        """Process a batch, partitioned across shards with one argsort.
+
+        Verdicts, per-shard state, arrival counts, and degraded-click
+        tallies are identical to a scalar loop: every shard receives its
+        clicks in arrival order, and degraded shards answer by policy
+        without touching their (lost) sketch.  For time-based fleets
+        this holds for non-decreasing timestamps; a regressing timestamp
+        raises from the owning shard, and unlike the scalar loop sibling
+        shards may have advanced past it by then — keep streams
+        time-ordered, as the window semantics require.
+        """
+        identifiers, timestamps = batch_arrays(identifiers, timestamps, self.timed)
+        out = np.empty(identifiers.shape[0], dtype=bool)
+        if identifiers.shape[0] == 0:
+            return out
+        arrivals = self._per_shard_arrivals
+        for shard, positions in shard_groups(_route_batch(self, identifiers)):
+            count = int(positions.shape[0])
+            if arrivals is not None:
+                arrivals[shard] += count
+            entry = self._degraded.get(shard)
+            if entry is not None:
+                entry["clicks"] = int(entry["clicks"]) + count
+                out[positions] = entry["policy"] is FailoverPolicy.FAIL_CLOSED
+                continue
+            out[positions] = wrap_timed(self.shards[shard]).observe_batch(
+                identifiers[positions],
+                None if timestamps is None else timestamps[positions],
+            )
+        return out
+
+    def _query(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self.router(identifier)
+        verdict = self._degraded_verdict(shard, count=False)
+        if verdict is not None:
+            return verdict
+        if self.timed:
+            return self.shards[shard].query_at(identifier, timestamp)
+        return self.shards[shard].query(identifier)
+
+    @property
+    def num_shards(self) -> int:
+        return len(self.shards)
+
+    @property
+    def memory_bits(self) -> int:
+        return sum(shard.memory_bits for shard in self.shards)
+
+    def spec(self):
+        """One :class:`~repro.detection.DetectorSpec` rebuilding the fleet.
+
+        Requires a homogeneous fleet (same shard configuration with
+        sequential per-shard seeds) behind the default router — exactly
+        what the spec path builds.
+        """
+        return _combined_spec(self)
+
+    # -- failover -----------------------------------------------------
 
     def attach_telemetry(self, registry) -> None:
         """Route failover transitions through a metrics registry.
@@ -206,57 +366,33 @@ class _ShardFailover:
             self._restore_counter.inc()
         return int(entry["clicks"]) if entry is not None else 0
 
-    def degraded_shards(self) -> Dict[int, Dict[str, object]]:
-        """Currently degraded shards: ``{shard: {"policy", "clicks"}}``."""
-        return {
-            shard: {"policy": entry["policy"].value, "clicks": entry["clicks"]}
-            for shard, entry in self._degraded.items()
-        }
-
-    @property
-    def is_degraded(self) -> bool:
-        return bool(self._degraded)
-
-    def _degraded_verdict(self, shard: int, count: bool = True) -> Optional[bool]:
-        entry = self._degraded.get(shard)
-        if entry is None:
-            return None
-        if count:
-            entry["clicks"] = int(entry["clicks"]) + 1
-        return entry["policy"] is FailoverPolicy.FAIL_CLOSED
-
     # -- telemetry ----------------------------------------------------
 
-    def _shard_health(self) -> Dict[str, Dict[str, float]]:
-        """Per-shard gauge map for the telemetry instrument."""
+    def telemetry_snapshot(self) -> Dict[str, object]:
+        """Fleet health metrics for :mod:`repro.telemetry.instruments`:
+        totals, the worst shard's FP estimate, and per-shard gauges."""
+        elements = 0
+        duplicates = 0
         health: Dict[str, Dict[str, float]] = {}
         for index, shard in enumerate(self.shards):
+            elements += shard.counter.elements
+            duplicates += getattr(shard, "duplicates", 0)
             snapshot = getattr(shard, "telemetry_snapshot", None)
             gauges = dict(snapshot().get("gauges", {})) if snapshot else {}
             gauges["degraded"] = 1.0 if index in self._degraded else 0.0
             health[str(index)] = gauges
-        return health
-
-    def _aggregate_telemetry(self) -> Dict[str, object]:
-        """Fleet-wide rollup: totals plus the worst shard's FP estimate."""
-        elements = 0
-        duplicates = 0
-        worst_fp = 0.0
-        for shard in self.shards:
-            elements += shard.counter.elements
-            duplicates += getattr(shard, "duplicates", 0)
-            estimate = getattr(shard, "estimated_fp_rate", None)
-            if estimate is not None:
-                worst_fp = max(worst_fp, estimate())
-        return {
+        snapshot = {
             "gauges": {
-                "estimated_fp_rate": worst_fp,
+                "estimated_fp_rate": self.estimated_fp_rate(),
                 "observed_duplicate_rate": duplicates / elements if elements else 0.0,
                 "degraded_shards": len(self._degraded),
             },
             "counters": {"elements": elements, "duplicates": duplicates},
-            "shards": self._shard_health(),
+            "shards": health,
         }
+        if not self.timed:
+            snapshot["gauges"]["load_imbalance"] = self.load_imbalance()
+        return snapshot
 
     def estimated_fp_rate(self) -> float:
         """Worst (maximum) live FP estimate across healthy shards."""
@@ -266,317 +402,6 @@ class _ShardFailover:
             if estimate is not None:
                 worst = max(worst, estimate())
         return worst
-
-    # -- checkpoint plumbing ------------------------------------------
-
-    def _failover_header(self) -> Dict[str, Dict[str, object]]:
-        return {
-            str(shard): {"policy": entry["policy"].value, "clicks": entry["clicks"]}
-            for shard, entry in self._degraded.items()
-        }
-
-    def _restore_failover(self, spec: Dict[str, Dict[str, object]]) -> None:
-        self._degraded = {
-            int(shard): {
-                "policy": FailoverPolicy(entry["policy"]),
-                "clicks": int(entry["clicks"]),
-            }
-            for shard, entry in spec.items()
-        }
-
-
-class ShardedDetector(_ShardFailover):
-    """Count-based sharded duplicate detector.
-
-    Parameters
-    ----------
-    shards:
-        One detector per worker, each configured with a window of
-        ``global_window / len(shards)``.  Build them with
-        :meth:`ShardedDetector.of_tbf` for the common case.
-    router:
-        Identifier -> shard index; defaults to :func:`default_router`.
-    """
-
-    def __init__(
-        self,
-        shards: List,
-        router: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if not shards:
-            raise ConfigurationError("need at least one shard")
-        self.shards = list(shards)
-        self._router_is_default = router is None
-        self.router = router or default_router(len(shards))
-        self._per_shard_arrivals = [0] * len(shards)
-        self._init_failover()
-
-    @classmethod
-    def of_tbf(
-        cls,
-        global_window: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "ShardedDetector":
-        """``num_shards`` TBFs, splitting window and memory evenly.
-
-        Deprecated: build through :func:`repro.detection.create_detector`
-        with a sharded :class:`~repro.detection.DetectorSpec` instead —
-        the spec surface covers every variant and round-trips via
-        ``spec()``.
-        """
-        warnings.warn(
-            "ShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf', ..., shards=N))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            global_window, num_shards, total_entries, num_hashes, seed=seed
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        global_window: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "ShardedDetector":
-        from ..core import TBFDetector
-
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        local_window = max(1, global_window // num_shards)
-        local_entries = max(1, total_entries // num_shards)
-        shards = [
-            TBFDetector(local_window, local_entries, num_hashes, seed=seed + shard)
-            for shard in range(num_shards)
-        ]
-        return cls(shards)
-
-    def process(self, identifier: int) -> bool:
-        shard = self.router(identifier)
-        self._per_shard_arrivals[shard] += 1
-        verdict = self._degraded_verdict(shard)
-        if verdict is not None:
-            return verdict
-        return self.shards[shard].process(identifier)
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        """Process a batch, partitioned across shards with one argsort.
-
-        Verdicts, per-shard state, arrival counts, and degraded-click
-        tallies are identical to a scalar :meth:`process` loop: every
-        shard receives its clicks in arrival order, and degraded shards
-        answer by policy without touching their (lost) sketch.
-        """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(_route_batch(self, identifiers)):
-            count = int(positions.shape[0])
-            self._per_shard_arrivals[shard] += count
-            entry = self._degraded.get(shard)
-            if entry is not None:
-                entry["clicks"] = int(entry["clicks"]) + count
-                out[positions] = entry["policy"] is FailoverPolicy.FAIL_CLOSED
-                continue
-            detector = self.shards[shard]
-            batch = getattr(detector, "process_batch", None)
-            if batch is not None:
-                out[positions] = batch(identifiers[positions])
-            else:
-                process = detector.process
-                out[positions] = [
-                    process(int(identifier)) for identifier in identifiers[positions]
-                ]
-        return out
-
-    def query(self, identifier: int) -> bool:
-        shard = self.router(identifier)
-        verdict = self._degraded_verdict(shard, count=False)
-        if verdict is not None:
-            return verdict
-        return self.shards[shard].query(identifier)
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def memory_bits(self) -> int:
-        return sum(shard.memory_bits for shard in self.shards)
-
-    def load_imbalance(self) -> float:
-        """Max shard load over mean shard load (1.0 = perfectly even)."""
-        total = sum(self._per_shard_arrivals)
-        if total == 0:
-            return 1.0
-        mean = total / len(self.shards)
-        return max(self._per_shard_arrivals) / mean
-
-    def shard_arrivals(self) -> List[int]:
-        return list(self._per_shard_arrivals)
-
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """Fleet health metrics for :mod:`repro.telemetry.instruments`."""
-        snapshot = self._aggregate_telemetry()
-        snapshot["gauges"]["load_imbalance"] = self.load_imbalance()
-        return snapshot
-
-    def spec(self):
-        """One :class:`~repro.detection.DetectorSpec` rebuilding the fleet.
-
-        Requires a homogeneous fleet (same shard configuration with
-        sequential per-shard seeds) behind the default router — exactly
-        what the spec path builds.
-        """
-        return _combined_spec(self)
-
-
-class TimeShardedDetector(_ShardFailover):
-    """Time-based sharded duplicate detector (exact window semantics).
-
-    Every shard runs a :class:`~repro.core.TimeBasedTBFDetector` over
-    the *full* window duration; the global clock travels with each
-    click, so sharding preserves the single-detector semantics exactly
-    (up to the shared unit granularity).
-    """
-
-    def __init__(
-        self,
-        shards: List,
-        router: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if not shards:
-            raise ConfigurationError("need at least one shard")
-        self.shards = list(shards)
-        self._router_is_default = router is None
-        self.router = router or default_router(len(shards))
-        self._init_failover()
-
-    @classmethod
-    def of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "TimeShardedDetector":
-        """Deprecated: build through :func:`repro.detection.create_detector`
-        with a sharded time-based :class:`~repro.detection.DetectorSpec`."""
-        warnings.warn(
-            "TimeShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf-time', ..., shards=N))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            duration, resolution, num_shards, total_entries, num_hashes, seed=seed
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_shards: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-    ) -> "TimeShardedDetector":
-        from ..core import TimeBasedTBFDetector
-
-        if num_shards < 1:
-            raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-        local_entries = max(1, total_entries // num_shards)
-        shards = [
-            TimeBasedTBFDetector(
-                duration, resolution, local_entries, num_hashes, seed=seed + shard
-            )
-            for shard in range(num_shards)
-        ]
-        return cls(shards)
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self.router(identifier)
-        verdict = self._degraded_verdict(shard)
-        if verdict is not None:
-            return verdict
-        return self.shards[shard].process_at(identifier, timestamp)
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        """Batch variant of :meth:`process_at` (one argsort partition).
-
-        Equivalent to the scalar loop for non-decreasing timestamps
-        (each shard sees its subsequence in arrival order).  A
-        regressing timestamp raises from the owning shard; unlike the
-        scalar loop, sibling shards may have advanced past it by then —
-        keep streams time-ordered, as the window semantics require.
-        """
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        out = np.empty(identifiers.shape[0], dtype=bool)
-        if identifiers.shape[0] == 0:
-            return out
-        for shard, positions in shard_groups(_route_batch(self, identifiers)):
-            entry = self._degraded.get(shard)
-            if entry is not None:
-                entry["clicks"] = int(entry["clicks"]) + int(positions.shape[0])
-                out[positions] = entry["policy"] is FailoverPolicy.FAIL_CLOSED
-                continue
-            detector = self.shards[shard]
-            batch = getattr(detector, "process_batch_at", None)
-            if batch is not None:
-                out[positions] = batch(identifiers[positions], timestamps[positions])
-            else:
-                process_at = detector.process_at
-                out[positions] = [
-                    process_at(int(identifier), float(timestamp))
-                    for identifier, timestamp in zip(
-                        identifiers[positions], timestamps[positions]
-                    )
-                ]
-        return out
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def memory_bits(self) -> int:
-        return sum(shard.memory_bits for shard in self.shards)
-
-    def telemetry_snapshot(self) -> Dict[str, object]:
-        """Fleet health metrics for :mod:`repro.telemetry.instruments`."""
-        return self._aggregate_telemetry()
-
-    def spec(self):
-        """One :class:`~repro.detection.DetectorSpec` rebuilding the fleet.
-
-        Requires a homogeneous fleet (same shard configuration with
-        sequential per-shard seeds) behind the default router — exactly
-        what the spec path builds.
-        """
-        return _combined_spec(self)
 
 
 def _combined_spec(detector):
@@ -645,19 +470,20 @@ def _combined_spec(detector):
 # round-trip; only the default router is accepted.
 # ----------------------------------------------------------------------
 
-def _save_shards(detector, kind: str, extra: Dict[str, object]) -> bytes:
+def _save_sharded(detector: ShardedDetector) -> bytes:
     if not detector._router_is_default:
         raise CheckpointError(
             "cannot checkpoint a sharded detector with a custom router; "
             "checkpoint the shards individually with checkpoint_shard()"
         )
     blobs = [save_detector(shard) for shard in detector.shards]
-    header = {
-        "kind": kind,
+    header: Dict[str, object] = {
+        "kind": "time-sharded" if detector.timed else "sharded",
         "lengths": [len(blob) for blob in blobs],
         "degraded": detector._failover_header(),
     }
-    header.update(extra)
+    if not detector.timed:
+        header["per_shard_arrivals"] = detector._per_shard_arrivals
     return pack_frame(header, b"".join(blobs))
 
 
@@ -675,37 +501,76 @@ def _split_shard_blobs(header: Dict[str, object], payload: bytes) -> List[bytes]
     return blobs
 
 
-def _save_sharded(detector: ShardedDetector) -> bytes:
-    return _save_shards(
-        detector, "sharded", {"per_shard_arrivals": detector._per_shard_arrivals}
+def _count(value: object, what: str) -> int:
+    """A non-negative JSON integer from a checkpoint header."""
+    if type(value) is not int or value < 0:
+        raise CheckpointError(
+            f"sharded checkpoint {what} must be a count, got {value!r}"
+        )
+    return value
+
+
+def _degraded_from_header(
+    spec: object, num_shards: int
+) -> Dict[int, Dict[str, object]]:
+    """Validate and rebuild the degraded-shard map a checkpoint carries."""
+    if not isinstance(spec, dict):
+        raise CheckpointError(
+            f"sharded checkpoint degraded map is {type(spec).__name__}"
+        )
+    degraded: Dict[int, Dict[str, object]] = {}
+    for shard, entry in spec.items():
+        try:
+            index = int(shard)
+            policy = FailoverPolicy(entry["policy"])
+            clicks = entry["clicks"]
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(
+                f"bad failover state for shard {shard!r}: {error!r}"
+            ) from error
+        if not 0 <= index < num_shards:
+            raise CheckpointError(
+                f"failover state names shard {index}, fleet has {num_shards}"
+            )
+        degraded[index] = {"policy": policy, "clicks": _count(clicks, "clicks")}
+    return degraded
+
+
+def _restore_fleet(
+    header: Dict[str, object], payload: bytes, timed: bool
+) -> ShardedDetector:
+    """Rebuild the in-process fleet a sharded or parallel checkpoint holds.
+
+    Shared by the ``sharded`` / ``time-sharded`` loaders and the
+    parallel engine's manifest loader.  Any inconsistency — shards of
+    the wrong time model, arrival counts or failover state that do not
+    fit the fleet — raises :class:`CheckpointError`.
+    """
+    detector = ShardedDetector(
+        [load_detector(blob) for blob in _split_shard_blobs(header, payload)]
     )
-
-
-def _load_sharded(header: Dict[str, object], payload: bytes) -> ShardedDetector:
-    blobs = _split_shard_blobs(header, payload)
-    detector = ShardedDetector([load_detector(blob) for blob in blobs])
-    arrivals = header.get("per_shard_arrivals")
-    if not isinstance(arrivals, list) or len(arrivals) != len(blobs):
-        raise CheckpointError("sharded checkpoint arrivals do not match shards")
-    detector._per_shard_arrivals = [int(count) for count in arrivals]
-    detector._restore_failover(header.get("degraded", {}))
+    if detector.timed is not timed:
+        raise CheckpointError(
+            f"{header.get('kind')!r} checkpoint holds shards of the other time model"
+        )
+    if not timed:
+        arrivals = header.get("per_shard_arrivals")
+        if not isinstance(arrivals, list) or len(arrivals) != detector.num_shards:
+            raise CheckpointError("sharded checkpoint arrivals do not match shards")
+        detector._per_shard_arrivals = [
+            _count(count, "per_shard_arrivals") for count in arrivals
+        ]
+    detector._degraded = _degraded_from_header(
+        header.get("degraded", {}), detector.num_shards
+    )
     return detector
 
 
-def _save_time_sharded(detector: TimeShardedDetector) -> bytes:
-    return _save_shards(detector, "time-sharded", {})
-
-
-def _load_time_sharded(header: Dict[str, object], payload: bytes) -> TimeShardedDetector:
-    blobs = _split_shard_blobs(header, payload)
-    detector = TimeShardedDetector([load_detector(blob) for blob in blobs])
-    detector._restore_failover(header.get("degraded", {}))
-    return detector
-
-
-register_checkpoint_kind("sharded", ShardedDetector, _save_sharded, _load_sharded)
 register_checkpoint_kind(
-    "time-sharded", TimeShardedDetector, _save_time_sharded, _load_time_sharded
+    "sharded", ShardedDetector, _save_sharded, partial(_restore_fleet, timed=False)
+)
+register_checkpoint_kind(
+    "time-sharded", ShardedDetector, _save_sharded, partial(_restore_fleet, timed=True)
 )
 
 # unpack_frame is re-exported for tools that inspect shard blobs directly.
@@ -715,6 +580,5 @@ __all__ = [
     "shard_groups",
     "FailoverPolicy",
     "ShardedDetector",
-    "TimeShardedDetector",
     "unpack_frame",
 ]

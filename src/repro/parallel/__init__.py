@@ -7,9 +7,9 @@ The package splits into three layers:
 * :mod:`repro.parallel.worker` — the worker-process main loop serving
   one shard from its rings (pre-hashed probes, checkpoint/telemetry
   control commands).
-* :mod:`repro.parallel.engine` — the router-side engines
-  (:class:`ParallelShardedDetector` / :class:`ParallelTimeShardedDetector`)
-  with bit-identical semantics to the single-process sharded detectors,
+* :mod:`repro.parallel.engine` — the router-side engine
+  (:class:`ParallelShardedDetector`, count- or time-based by its shards)
+  with bit-identical semantics to the single-process sharded detector,
   journaled respawn-from-checkpoint on worker death, and two-phase
   fleet checkpoints.
 
@@ -17,17 +17,12 @@ Importing this package registers the ``parallel-sharded`` and
 ``parallel-time-sharded`` checkpoint kinds.
 """
 
-from .engine import (
-    ParallelShardedDetector,
-    ParallelTimeShardedDetector,
-    lift_sharded,
-)
+from .engine import ParallelShardedDetector, lift_sharded
 from .ring import BatchRing, RingSpec
 
 __all__ = [
     "BatchRing",
     "RingSpec",
     "ParallelShardedDetector",
-    "ParallelTimeShardedDetector",
     "lift_sharded",
 ]

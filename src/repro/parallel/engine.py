@@ -39,18 +39,19 @@ pushes a checkpoint command down every healthy worker's request ring
 answers — the ring is the quiescence barrier) and gathers the per-shard
 blobs; phase 2 commits one manifest frame holding the blobs plus the
 router's own state (arrival counts, degraded map, engine options).  The
-manifest registers as checkpoint kinds ``parallel-sharded`` /
-``parallel-time-sharded``, so :class:`~repro.resilience.SupervisedPipeline`
-journals a parallel deployment exactly like a single detector — and a
-restore *respawns the fleet* from the manifest.
+manifest registers as checkpoint kind ``parallel-sharded`` or
+``parallel-time-sharded`` (by the fleet's time model), so
+:class:`~repro.resilience.SupervisedPipeline` journals a parallel
+deployment exactly like a single detector — and a restore *respawns the
+fleet* from the manifest.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
-import warnings
-from typing import Callable, Dict, List, Optional, Union
+from functools import partial
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -60,12 +61,13 @@ from ..core.checkpoint import (
     register_checkpoint_kind,
     save_detector,
 )
-from ..errors import CheckpointError, ConfigurationError, ParallelError
+from ..errors import ConfigurationError, ParallelError
+from ..detection.api import batch_arrays, bind_time_model
 from ..detection.sharded import (
     FailoverPolicy,
     ShardedDetector,
-    TimeShardedDetector,
-    _split_shard_blobs,
+    _FleetView,
+    _restore_fleet,
     route_batch,
     shard_groups,
 )
@@ -88,7 +90,6 @@ from .worker import (
 
 __all__ = [
     "ParallelShardedDetector",
-    "ParallelTimeShardedDetector",
     "lift_sharded",
 ]
 
@@ -137,8 +138,17 @@ class _WorkerState:
         self.respawns = 0
 
 
-class _ParallelEngine:
-    """Shared machinery for both parallel engines (count- and time-based).
+class ParallelShardedDetector(_FleetView):
+    """Sharded detection across worker processes, one shard per worker.
+
+    Drop-in for :class:`~repro.detection.sharded.ShardedDetector` on the
+    processing interface, with bit-identical verdicts, checkpoint
+    states, and summed op counts.  The time model comes from ``base``:
+    count-based fleets expose ``process`` / ``process_batch``,
+    time-based fleets ``process_at`` / ``process_batch_at`` (exact
+    window semantics — the global clock travels with every batch).
+    The scalar path costs one ring round-trip per click; prefer the
+    batch path on the hot path.
 
     Parameters
     ----------
@@ -175,12 +185,9 @@ class _ParallelEngine:
         fleet traces only if its restorer asks for it.
     """
 
-    _time_based = False
-    _checkpoint_kind = "parallel-sharded"
-
     def __init__(
         self,
-        base,
+        base: ShardedDetector,
         *,
         start_method: Optional[str] = None,
         slots: int = 4,
@@ -192,10 +199,9 @@ class _ParallelEngine:
         worker_timeout: float = 60.0,
         trace_dir: Optional[str] = None,
     ) -> None:
-        expected = TimeShardedDetector if self._time_based else ShardedDetector
-        if type(base) is not expected:
+        if type(base) is not ShardedDetector:
             raise ConfigurationError(
-                f"{type(self).__name__} wraps a {expected.__name__}, "
+                f"ParallelShardedDetector wraps a ShardedDetector, "
                 f"got {type(base).__name__}"
             )
         if not base._router_is_default:
@@ -214,6 +220,7 @@ class _ParallelEngine:
                 f"checkpoint_every_items must be >= 0, got {checkpoint_every_items}"
             )
         self.base = base
+        self.timed = base.timed
         self.start_method = start_method
         self.slots = slots
         self.slot_items = slot_items
@@ -236,7 +243,7 @@ class _ParallelEngine:
         self._bytes_per_item = []
         for shard in base.shards:
             family = getattr(shard, "family", None)
-            if self._time_based:
+            if self.timed:
                 op, width = OP_IDS_TS, 16
             elif family is not None and hasattr(shard, "process_indices_batch"):
                 op, width = OP_INDICES, 8 * family.num_hashes
@@ -246,13 +253,13 @@ class _ParallelEngine:
             self._ops.append(op)
             self._bytes_per_item.append(width)
 
-        # Failover bookkeeping mirrors _ShardFailover, lifted from base.
+        # Failover bookkeeping mirrors ShardedDetector's, lifted from base.
         self._degraded: Dict[int, Dict[str, object]] = {
             shard: {"policy": entry["policy"], "clicks": int(entry["clicks"])}
             for shard, entry in base._degraded.items()
         }
         self._per_shard_arrivals = (
-            list(base._per_shard_arrivals) if not self._time_based else None
+            None if self.timed else list(base._per_shard_arrivals)
         )
         self.worker_deaths = 0
         self.worker_respawns = 0
@@ -260,6 +267,7 @@ class _ParallelEngine:
         self._respawn_counter = None
         self._failover_counter = None
 
+        bind_time_model(self, self.timed, self._process, self._process_batch, None)
         self._workers: List[_WorkerState] = []
         try:
             for index, shard in enumerate(base.shards):
@@ -607,6 +615,23 @@ class _ParallelEngine:
                 return self._policy_verdicts(shard, ids.shape[0])
             return verdicts
 
+    def _process(self, identifier: int, timestamp: Optional[float] = None) -> bool:
+        shard = self.base.router(identifier)
+        if self._per_shard_arrivals is not None:
+            self._per_shard_arrivals[shard] += 1
+        verdict = self._degraded_verdict(shard)
+        if verdict is not None:
+            return verdict
+        ids, timestamps = batch_arrays(
+            [identifier], None if timestamp is None else [timestamp], self.timed
+        )
+        return bool(self._shard_batch(shard, ids, timestamps)[0])
+
+    def _process_batch(
+        self, identifiers: "np.ndarray", timestamps: Optional["np.ndarray"] = None
+    ) -> "np.ndarray":
+        return self._process_grouped(*batch_arrays(identifiers, timestamps, self.timed))
+
     def _process_grouped(self, identifiers: np.ndarray, timestamps) -> np.ndarray:
         """Route, fan out to all workers, then gather in shard order."""
         out = np.empty(identifiers.shape[0], dtype=bool)
@@ -749,12 +774,6 @@ class _ParallelEngine:
             return state.last_checkpoint
         return self._pull_checkpoint(state)
 
-    def _failover_header(self) -> Dict[str, Dict[str, object]]:
-        return {
-            str(shard): {"policy": entry["policy"].value, "clicks": entry["clicks"]}
-            for shard, entry in self._degraded.items()
-        }
-
     def _options(self) -> Dict[str, object]:
         # trace_dir is runtime-only and deliberately absent: a manifest
         # restored on another host must not try to write span shards to
@@ -781,7 +800,7 @@ class _ParallelEngine:
         """
         blobs = self._gather_blobs()
         header: Dict[str, object] = {
-            "kind": self._checkpoint_kind,
+            "kind": "parallel-time-sharded" if self.timed else "parallel-sharded",
             "workers": len(self._workers),
             "lengths": [len(blob) for blob in blobs],
             "degraded": self._failover_header(),
@@ -802,19 +821,10 @@ class _ParallelEngine:
         return self.checkpoint()
 
     @classmethod
-    def _from_checkpoint(cls, header: Dict[str, object], payload: bytes):
-        blobs = _split_shard_blobs(header, payload)
-        shards = [load_detector(blob) for blob in blobs]
-        base_cls = TimeShardedDetector if cls._time_based else ShardedDetector
-        base = base_cls(shards)
-        if not cls._time_based:
-            arrivals = header.get("per_shard_arrivals")
-            if not isinstance(arrivals, list) or len(arrivals) != len(blobs):
-                raise CheckpointError(
-                    "parallel checkpoint arrivals do not match shards"
-                )
-            base._per_shard_arrivals = [int(count) for count in arrivals]
-        base._restore_failover(header.get("degraded", {}))
+    def _from_checkpoint(
+        cls, header: Dict[str, object], payload: bytes, timed: bool
+    ) -> "ParallelShardedDetector":
+        base = _restore_fleet(header, payload, timed)
         # The constructor accepts death_policy as its string value, so
         # the serialized options dict round-trips directly.
         return cls(base, **dict(header.get("options") or {}))
@@ -958,16 +968,6 @@ class _ParallelEngine:
     def memory_bits(self) -> int:
         return self.base.memory_bits
 
-    def degraded_shards(self) -> Dict[int, Dict[str, object]]:
-        return {
-            shard: {"policy": entry["policy"].value, "clicks": entry["clicks"]}
-            for shard, entry in self._degraded.items()
-        }
-
-    @property
-    def is_degraded(self) -> bool:
-        return bool(self._degraded)
-
     def worker_pids(self) -> List[Optional[int]]:
         return [
             state.process.pid if state.process is not None else None
@@ -1013,164 +1013,6 @@ class _ParallelEngine:
             pass
 
 
-class ParallelShardedDetector(_ParallelEngine):
-    """Count-based sharded detection across worker processes.
-
-    Drop-in for :class:`~repro.detection.sharded.ShardedDetector` on the
-    processing interface (``process`` / ``process_batch``), with
-    bit-identical verdicts, checkpoint states, and summed op counts.
-    """
-
-    _time_based = False
-    _checkpoint_kind = "parallel-sharded"
-
-    @classmethod
-    def of_tbf(
-        cls,
-        global_window: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelShardedDetector":
-        """``num_workers`` TBF shards, one worker process each.
-
-        Deprecated: build through :func:`repro.detection.create_detector`
-        with ``DetectorSpec('tbf', ..., shards=N, engine='parallel')``.
-        """
-        warnings.warn(
-            "ParallelShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf', ..., shards=N, "
-            "engine='parallel'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            global_window, num_workers, total_entries, num_hashes,
-            seed=seed, **options,
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        global_window: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelShardedDetector":
-        return cls(
-            ShardedDetector._of_tbf(
-                global_window, num_workers, total_entries, num_hashes, seed=seed
-            ),
-            **options,
-        )
-
-    def process(self, identifier: int) -> bool:
-        """Scalar interface (one ring round-trip per click — prefer
-        :meth:`process_batch` on the hot path)."""
-        shard = self.base.router(identifier)
-        self._per_shard_arrivals[shard] += 1
-        entry = self._degraded.get(shard)
-        if entry is not None:
-            entry["clicks"] = int(entry["clicks"]) + 1
-            return entry["policy"] is FailoverPolicy.FAIL_CLOSED
-        ids = np.asarray([identifier], dtype=np.uint64)
-        return bool(self._shard_batch(shard, ids, None)[0])
-
-    def process_batch(self, identifiers: "np.ndarray") -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        return self._process_grouped(identifiers, None)
-
-    def load_imbalance(self) -> float:
-        total = sum(self._per_shard_arrivals)
-        if total == 0:
-            return 1.0
-        return max(self._per_shard_arrivals) / (total / len(self._workers))
-
-    def shard_arrivals(self) -> List[int]:
-        return list(self._per_shard_arrivals)
-
-
-class ParallelTimeShardedDetector(_ParallelEngine):
-    """Time-based sharded detection across worker processes (exact
-    window semantics — the global clock travels with every batch)."""
-
-    _time_based = True
-    _checkpoint_kind = "parallel-time-sharded"
-
-    @classmethod
-    def of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelTimeShardedDetector":
-        """Deprecated: build through :func:`repro.detection.create_detector`
-        with ``DetectorSpec('tbf-time', ..., shards=N, engine='parallel')``."""
-        warnings.warn(
-            "ParallelTimeShardedDetector.of_tbf is deprecated; build through "
-            "create_detector(DetectorSpec('tbf-time', ..., shards=N, "
-            "engine='parallel'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls._of_tbf(
-            duration, resolution, num_workers, total_entries, num_hashes,
-            seed=seed, **options,
-        )
-
-    @classmethod
-    def _of_tbf(
-        cls,
-        duration: float,
-        resolution: int,
-        num_workers: int,
-        total_entries: int,
-        num_hashes: int = 10,
-        seed: int = 0,
-        **options,
-    ) -> "ParallelTimeShardedDetector":
-        return cls(
-            TimeShardedDetector._of_tbf(
-                duration, resolution, num_workers, total_entries, num_hashes, seed=seed
-            ),
-            **options,
-        )
-
-    def process_at(self, identifier: int, timestamp: float) -> bool:
-        shard = self.base.router(identifier)
-        entry = self._degraded.get(shard)
-        if entry is not None:
-            entry["clicks"] = int(entry["clicks"]) + 1
-            return entry["policy"] is FailoverPolicy.FAIL_CLOSED
-        ids = np.asarray([identifier], dtype=np.uint64)
-        timestamps = np.asarray([timestamp], dtype=np.float64)
-        return bool(self._shard_batch(shard, ids, timestamps)[0])
-
-    def process_batch_at(
-        self, identifiers: "np.ndarray", timestamps: "np.ndarray"
-    ) -> "np.ndarray":
-        identifiers = np.asarray(identifiers, dtype=np.uint64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        if identifiers.ndim != 1:
-            raise ValueError(f"identifiers must be 1-D, got {identifiers.ndim}-D")
-        if timestamps.shape != identifiers.shape:
-            raise ValueError(
-                f"timestamps shape {timestamps.shape} != identifiers "
-                f"shape {identifiers.shape}"
-            )
-        return self._process_grouped(identifiers, timestamps)
-
-
 def lift_sharded(detector, workers: Optional[int] = None, **options):
     """Lift a single-process sharded detector into a parallel engine.
 
@@ -1179,47 +1021,34 @@ def lift_sharded(detector, workers: Optional[int] = None, **options):
     the shard count *is* the parallelism degree.  Already-parallel
     engines pass through unchanged.
     """
-    if isinstance(detector, _ParallelEngine):
+    if isinstance(detector, ParallelShardedDetector):
         return detector
-    if type(detector) is ShardedDetector:
-        cls = ParallelShardedDetector
-    elif type(detector) is TimeShardedDetector:
-        cls = ParallelTimeShardedDetector
-    else:
+    if type(detector) is not ShardedDetector:
         raise ConfigurationError(
             f"cannot parallelize {type(detector).__name__}; build a "
-            "ShardedDetector/TimeShardedDetector with one shard per worker"
+            "ShardedDetector with one shard per worker"
         )
     if workers is not None and workers != detector.num_shards:
         raise ConfigurationError(
             f"workers={workers} but the detector has {detector.num_shards} "
             "shards; one worker runs exactly one shard"
         )
-    return cls(detector, **options)
+    return ParallelShardedDetector(detector, **options)
 
 
 def _save_parallel(engine: ParallelShardedDetector) -> bytes:
     return engine.checkpoint()
 
 
-def _load_parallel(header, payload) -> ParallelShardedDetector:
-    return ParallelShardedDetector._from_checkpoint(header, payload)
-
-
-def _save_parallel_time(engine: ParallelTimeShardedDetector) -> bytes:
-    return engine.checkpoint()
-
-
-def _load_parallel_time(header, payload) -> ParallelTimeShardedDetector:
-    return ParallelTimeShardedDetector._from_checkpoint(header, payload)
-
-
 register_checkpoint_kind(
-    "parallel-sharded", ParallelShardedDetector, _save_parallel, _load_parallel
+    "parallel-sharded",
+    ParallelShardedDetector,
+    _save_parallel,
+    partial(ParallelShardedDetector._from_checkpoint, timed=False),
 )
 register_checkpoint_kind(
     "parallel-time-sharded",
-    ParallelTimeShardedDetector,
-    _save_parallel_time,
-    _load_parallel_time,
+    ParallelShardedDetector,
+    _save_parallel,
+    partial(ParallelShardedDetector._from_checkpoint, timed=True),
 )

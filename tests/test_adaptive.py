@@ -23,11 +23,9 @@ import pytest
 from repro.adaptive import (
     AdaptiveController,
     AdaptiveDetector,
-    AdaptiveTimedDetector,
     AgePartitionedBFDetector,
     ControllerConfig,
     TimeLimitedBFDetector,
-    adaptive_detector,
     scaled_spec,
 )
 from repro.bloom.params import apbf_false_positive_rate, sliced_false_positive_rate
@@ -37,8 +35,6 @@ from repro.detection import (
     DetectorLifecycle,
     DetectorSpec,
     LifecycleAdapter,
-    ShardedDetector,
-    TimeShardedDetector,
     WindowSpec,
     as_lifecycle,
     create_detector,
@@ -193,12 +189,6 @@ class TestSpecRoundTrips:
                 "tbf", WindowSpec("sliding", 64), params=params
             )  # wrong params type for the algorithm
 
-    def test_of_tbf_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            ShardedDetector.of_tbf(64, 2, 1024, seed=1)
-        with pytest.warns(DeprecationWarning):
-            TimeShardedDetector.of_tbf(8.0, 4, 2, 1024, seed=1)
-
 
 class TestCheckpointRoundTrips:
     @pytest.mark.parametrize("shards", [1, 3])
@@ -238,7 +228,7 @@ class TestCheckpointRoundTrips:
 class TestLifecycleSurface:
     def test_adaptive_wrappers_are_native_lifecycles(self):
         count = AdaptiveDetector(APBF_SPEC)
-        timed = AdaptiveTimedDetector(TLBF_SPEC)
+        timed = AdaptiveDetector(TLBF_SPEC)
         assert isinstance(count, DetectorLifecycle)
         assert isinstance(timed, DetectorLifecycle)
         assert as_lifecycle(count) is count
@@ -256,12 +246,14 @@ class TestLifecycleSurface:
             lifecycle.migrate(APBF_SPEC)
 
     def test_factory_picks_time_model(self):
-        assert type(adaptive_detector(APBF_SPEC)) is AdaptiveDetector
-        assert type(adaptive_detector(TLBF_SPEC)) is AdaptiveTimedDetector
+        count = AdaptiveDetector(APBF_SPEC)
+        timed = AdaptiveDetector(TLBF_SPEC)
+        assert hasattr(count, "process_batch") and not hasattr(count, "process_at")
+        assert hasattr(timed, "process_batch_at") and not hasattr(timed, "process")
         with pytest.raises(ConfigurationError):
-            AdaptiveDetector(TLBF_SPEC)
+            count.migrate(TLBF_SPEC)
         with pytest.raises(ConfigurationError):
-            AdaptiveTimedDetector(APBF_SPEC)
+            timed.migrate(APBF_SPEC)
 
     def test_wrapper_checkpoint_round_trip(self):
         wrapper = AdaptiveDetector(APBF_SPEC, retain=64)
@@ -278,7 +270,7 @@ class TestLifecycleSurface:
         assert wrapper.checkpoint() == restored.checkpoint()
 
     def test_timed_wrapper_checkpoint_round_trip(self):
-        wrapper = AdaptiveTimedDetector(TLBF_SPEC, retain=64)
+        wrapper = AdaptiveDetector(TLBF_SPEC, retain=64)
         stamps = np.cumsum(np.full(300, 0.01))
         wrapper.process_batch_at(_distinct(300, seed=1), stamps)
         restored = load_detector(wrapper.checkpoint())
@@ -334,7 +326,7 @@ class TestMigrateReplayProperty:
             "time-limited-bf", WindowSpec("sliding", 64),
             target_fp=0.05, duration=8.0, resolution=4,
         )
-        wrapper = AdaptiveTimedDetector(spec, retain=retain)
+        wrapper = AdaptiveDetector(spec, retain=retain)
         n = min(len(ids), len(gaps))
         stamps = np.cumsum(gaps[:n])
         for identifier, stamp in zip(ids[:n], stamps):

@@ -24,7 +24,7 @@ from repro.core import (
     load_detector,
     save_detector,
 )
-from repro.detection import ShardedDetector, TimeShardedDetector
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 
 
 def _variants():
@@ -37,8 +37,32 @@ def _variants():
             lambda: TimeBasedGBFDetector(24.0, 4, 1024, 4, units_per_subwindow=4, seed=3),
         ),
         ("tbf-time", lambda: TimeBasedTBFDetector(24.0, 8, 2048, 4, seed=3)),
-        ("sharded", lambda: ShardedDetector._of_tbf(64, 3, 4096, 4, seed=3)),
-        ("time-sharded", lambda: TimeShardedDetector._of_tbf(24.0, 8, 3, 4096, 4, seed=3)),
+        (
+            "sharded",
+            lambda: create_detector(
+                DetectorSpec(
+                    "tbf",
+                    WindowSpec("sliding", 64),
+                    params=TBFParams(4096, 4),
+                    seed=3,
+                    shards=3,
+                )
+            ),
+        ),
+        (
+            "time-sharded",
+            lambda: create_detector(
+                DetectorSpec(
+                    "tbf-time",
+                    WindowSpec("sliding", 1024),
+                    duration=24.0,
+                    resolution=8,
+                    params=TBFParams(4096, 4),
+                    seed=3,
+                    shards=3,
+                )
+            ),
+        ),
     ]
 
 

@@ -30,6 +30,7 @@ from repro.cluster import (
     split_sharded,
 )
 from repro.core.checkpoint import unpack_frame
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.detection.sharded import ShardedDetector, route_batch
 from repro.errors import ConfigurationError, ProtocolError
 from repro.resilience.supervisor import CheckpointStore
@@ -64,7 +65,15 @@ HASHES = 4
 
 
 def _reference(seed: int = 1) -> ShardedDetector:
-    return ShardedDetector._of_tbf(WINDOW, SHARDS, ENTRIES, HASHES, seed=seed)
+    return create_detector(
+        DetectorSpec(
+            "tbf",
+            WindowSpec("sliding", WINDOW),
+            params=TBFParams(ENTRIES, HASHES),
+            seed=seed,
+            shards=SHARDS,
+        )
+    )
 
 
 def _stream(count: int, seed: int) -> np.ndarray:

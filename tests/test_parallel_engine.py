@@ -1,10 +1,10 @@
 """Tests for the multi-process parallel detection engine.
 
-The contract under test: a ``ParallelShardedDetector`` /
-``ParallelTimeShardedDetector`` is observationally *bit-identical* to
-the single-process sharded detector it wraps — same verdicts in stream
-order, same per-shard checkpoint blobs, same summed operation counters —
-while executing each shard in its own worker process over shared-memory
+The contract under test: a ``ParallelShardedDetector`` (count- or
+time-based) is observationally *bit-identical* to the single-process
+sharded detector it wraps — same verdicts in stream order, same
+per-shard checkpoint blobs, same summed operation counters — while
+executing each shard in its own worker process over shared-memory
 rings.  Failure handling: SIGKILLed workers respawn from their last
 checkpoint and replay the journal to the exact same state; with respawn
 exhausted or disabled the shard degrades under fail-open/fail-closed.
@@ -18,32 +18,55 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.checkpoint import load_detector, save_detector
+from repro.detection import DetectorSpec, TBFParams, WindowSpec, create_detector
 from repro.detection.sharded import (
     FailoverPolicy,
     ShardedDetector,
-    TimeShardedDetector,
     route_batch,
 )
 from repro.errors import ConfigurationError, ParallelError
 from repro.parallel import (
     BatchRing,
     ParallelShardedDetector,
-    ParallelTimeShardedDetector,
     lift_sharded,
 )
 
 START_METHOD = os.environ.get("REPRO_PARALLEL_START_METHOD") or None
 
 
+def tbf_fleet(window, shards, entries, num_hashes, seed):
+    spec = DetectorSpec(
+        "tbf",
+        WindowSpec("sliding", window),
+        params=TBFParams(entries, num_hashes),
+        seed=seed,
+        shards=shards,
+    )
+    if shards == 1:
+        # A one-shard spec builds the bare TBF; the fleet wraps it.
+        return ShardedDetector([create_detector(spec)])
+    return create_detector(spec)
+
+
+def time_tbf_fleet(duration, resolution, shards, entries, num_hashes, seed):
+    return create_detector(
+        DetectorSpec(
+            "tbf-time",
+            WindowSpec("sliding", 1024),
+            duration=duration,
+            resolution=resolution,
+            params=TBFParams(entries, num_hashes),
+            seed=seed,
+            shards=shards,
+        )
+    )
+
+
 def make_pair(num_shards, seed=1, window=64, entries=4096, num_hashes=4, **options):
     """A (reference, parallel) pair built from identical configs."""
-    reference = ShardedDetector._of_tbf(window, num_shards, entries, num_hashes, seed=seed)
-    parallel = ParallelShardedDetector._of_tbf(
-        window,
-        num_shards,
-        total_entries=entries,
-        num_hashes=num_hashes,
-        seed=seed,
+    reference = tbf_fleet(window, num_shards, entries, num_hashes, seed=seed)
+    parallel = ParallelShardedDetector(
+        tbf_fleet(window, num_shards, entries, num_hashes, seed=seed),
         start_method=START_METHOD,
         slot_items=512,
         **options,
@@ -166,10 +189,11 @@ class TestEquivalence:
             parallel.close()
 
     def test_time_based_equivalence(self):
-        reference = TimeShardedDetector._of_tbf(10.0, 8, 3, 4096, 4, seed=2)
-        parallel = ParallelTimeShardedDetector._of_tbf(
-            10.0, 8, 3, total_entries=4096, num_hashes=4, seed=2,
-            start_method=START_METHOD, slot_items=256,
+        reference = time_tbf_fleet(10.0, 8, 3, 4096, 4, seed=2)
+        parallel = ParallelShardedDetector(
+            time_tbf_fleet(10.0, 8, 3, 4096, 4, seed=2),
+            start_method=START_METHOD,
+            slot_items=256,
         )
         rng = np.random.default_rng(8)
         try:
@@ -412,9 +436,8 @@ class TestWorkerDeath:
             parallel.close()
 
     def test_worker_data_error_propagates(self):
-        parallel = ParallelTimeShardedDetector._of_tbf(
-            10.0, 8, 2, total_entries=2048, num_hashes=4, seed=1,
-            start_method=START_METHOD,
+        parallel = ParallelShardedDetector(
+            time_tbf_fleet(10.0, 8, 2, 2048, 4, seed=1), start_method=START_METHOD
         )
         try:
             parallel.process_batch_at(
@@ -492,7 +515,7 @@ class TestTelemetry:
 
 class TestLift:
     def test_lift_shard_count_mismatch(self):
-        sharded = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=1)
+        sharded = tbf_fleet(64, 2, 2048, 4, seed=1)
         with pytest.raises(ConfigurationError, match="2 shards"):
             lift_sharded(sharded, workers=4)
 
@@ -510,7 +533,7 @@ class TestLift:
             lift_sharded(TBFDetector(64, 1024, 4, seed=1))
 
     def test_engine_rejects_bad_options(self):
-        sharded = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=1)
+        sharded = tbf_fleet(64, 2, 2048, 4, seed=1)
         with pytest.raises(ConfigurationError, match="slots"):
             ParallelShardedDetector(sharded, slots=1)
         with pytest.raises(ConfigurationError, match="max_respawns"):

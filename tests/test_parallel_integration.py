@@ -10,14 +10,23 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import save_detector
-from repro.detection import DetectionPipeline
-from repro.detection.sharded import ShardedDetector
+from repro.detection import (
+    DetectionPipeline,
+    DetectorSpec,
+    TBFParams,
+    WindowSpec,
+    create_detector,
+)
 from repro.errors import ConfigurationError, StreamError
 from repro.parallel import ParallelShardedDetector
 from repro.resilience import CheckpointStore, FaultInjector, InjectedCrash, SupervisedPipeline
 from repro.streams import load_clicks, read_batches, write_clicks_csv, write_clicks_jsonl
 
 from tests.test_resilience import make_billing, make_stream
+
+FLEET = DetectorSpec(
+    "tbf", WindowSpec("sliding", 64), params=TBFParams(2048, 4), seed=3, shards=2
+)
 
 
 # ----------------------------------------------------------------------
@@ -80,11 +89,11 @@ class TestPipelineWorkers:
     def test_workers_matches_single_process_run(self):
         clicks = make_stream(400)
         reference = DetectionPipeline(
-            ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3), billing=make_billing()
+            create_detector(FLEET), billing=make_billing()
         )
         expected = reference.run_batch(clicks)
 
-        detector = ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3)
+        detector = create_detector(FLEET)
         pipeline = DetectionPipeline(detector, billing=make_billing())
         result = pipeline.run_batch(clicks, workers=2)
 
@@ -103,7 +112,7 @@ class TestPipelineWorkers:
             assert save_detector(expected_shard) == save_detector(synced)
 
     def test_workers_requires_matching_shard_count(self):
-        pipeline = DetectionPipeline(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+        pipeline = DetectionPipeline(create_detector(FLEET))
         with pytest.raises(ConfigurationError, match="2 shards"):
             pipeline.run_batch(make_stream(10), workers=4)
 
@@ -116,7 +125,7 @@ class TestPipelineWorkers:
 
     def test_already_parallel_detector_passes_through(self):
         clicks = make_stream(150)
-        engine = ParallelShardedDetector(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+        engine = ParallelShardedDetector(create_detector(FLEET))
         pipeline = DetectionPipeline(engine)
         try:
             result = pipeline.run_batch(clicks, workers=2)
@@ -133,7 +142,7 @@ class TestPipelineWorkers:
 # ----------------------------------------------------------------------
 
 def make_fleet():
-    return ParallelShardedDetector(ShardedDetector._of_tbf(64, 2, 2048, 4, seed=3))
+    return ParallelShardedDetector(create_detector(FLEET))
 
 
 class TestSupervisedFleet:
@@ -235,8 +244,14 @@ class TestCliWorkers:
         from repro.detection import DetectorSpec, WindowSpec, create_detector
 
         tbf = create_detector(DetectorSpec(algorithm="tbf", window=WindowSpec("sliding", 64, 1), seed=0, target_fp=0.001))
-        sharded = ShardedDetector._of_tbf(
-            64, 2, total_entries=tbf.num_entries, num_hashes=tbf.num_hashes, seed=0
+        sharded = create_detector(
+            DetectorSpec(
+                "tbf",
+                WindowSpec("sliding", 64),
+                params=TBFParams(tbf.num_entries, tbf.num_hashes),
+                seed=0,
+                shards=2,
+            )
         )
         pipeline = DetectionPipeline(sharded)
         duplicates = sum(pipeline.process_click(click) for click in clicks)

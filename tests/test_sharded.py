@@ -6,9 +6,42 @@ import pytest
 
 from repro.baselines import TimeBasedExactDetector
 from repro.core import TBFDetector, TimeBasedTBFDetector
-from repro.detection import ShardedDetector, TimeShardedDetector, default_router
+from repro.detection import (
+    DetectorSpec,
+    ShardedDetector,
+    TBFParams,
+    WindowSpec,
+    create_detector,
+    default_router,
+)
 from repro.errors import ConfigurationError
 from repro.windows import TimeBasedSlidingWindow
+
+
+def tbf_fleet(window, shards, entries, num_hashes=10, seed=0):
+    return create_detector(
+        DetectorSpec(
+            "tbf",
+            WindowSpec("sliding", window),
+            params=TBFParams(entries, num_hashes),
+            seed=seed,
+            shards=shards,
+        )
+    )
+
+
+def time_tbf_fleet(duration, resolution, shards, entries, num_hashes=10, seed=0):
+    return create_detector(
+        DetectorSpec(
+            "tbf-time",
+            WindowSpec("sliding", 1024),
+            duration=duration,
+            resolution=resolution,
+            params=TBFParams(entries, num_hashes),
+            seed=seed,
+            shards=shards,
+        )
+    )
 
 
 class TestRouter:
@@ -32,16 +65,16 @@ class TestShardedDetector:
         with pytest.raises(ConfigurationError):
             ShardedDetector([])
         with pytest.raises(ConfigurationError):
-            ShardedDetector._of_tbf(1024, 0, 1 << 14)
+            tbf_fleet(1024, 0, 1 << 14)
 
     def test_immediate_repeat_detected(self):
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 16, seed=1)
+        sharded = tbf_fleet(1024, 4, 1 << 16, seed=1)
         assert sharded.process(42) is False
         assert sharded.process(42) is True
         assert sharded.query(42) is True
 
     def test_repeats_route_to_same_shard(self):
-        sharded = ShardedDetector._of_tbf(1024, 8, 1 << 16, seed=1)
+        sharded = tbf_fleet(1024, 8, 1 << 16, seed=1)
         rng = random.Random(3)
         for _ in range(2000):
             sharded.process(rng.randrange(500))
@@ -53,7 +86,7 @@ class TestShardedDetector:
         assert sharded.process(12345) is True
 
     def test_memory_and_shard_accounting(self):
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 16, seed=1)
+        sharded = tbf_fleet(1024, 4, 1 << 16, seed=1)
         for identifier in range(4000):
             sharded.process(identifier)
         assert sharded.num_shards == 4
@@ -64,7 +97,7 @@ class TestShardedDetector:
     def test_local_window_approximates_global(self):
         # A duplicate at small global lag is always caught; only lags
         # near the window boundary are subject to shard-local skew.
-        sharded = ShardedDetector._of_tbf(1024, 4, 1 << 18, seed=2)
+        sharded = tbf_fleet(1024, 4, 1 << 18, seed=2)
         rng = random.Random(5)
         sharded.process(777)
         for _ in range(100):  # global lag 100 << N=1024
@@ -72,7 +105,7 @@ class TestShardedDetector:
         assert sharded.process(777) is True
 
     def test_empty_imbalance(self):
-        assert ShardedDetector._of_tbf(64, 2, 1024).load_imbalance() == 1.0
+        assert tbf_fleet(64, 2, 1024).load_imbalance() == 1.0
 
 
 class TestTimeShardedDetector:
@@ -80,9 +113,7 @@ class TestTimeShardedDetector:
         # Time-based sharding is exact: compare against the exact
         # labeler at unit-aligned timestamps.
         duration, resolution = 16.0, 16
-        sharded = TimeShardedDetector._of_tbf(
-            duration, resolution, 4, 1 << 18, num_hashes=8, seed=3
-        )
+        sharded = time_tbf_fleet(duration, resolution, 4, 1 << 18, num_hashes=8, seed=3)
         exact = TimeBasedExactDetector(TimeBasedSlidingWindow(duration))
         rng = random.Random(7)
         now = 0.0
@@ -94,12 +125,12 @@ class TestTimeShardedDetector:
             )
 
     def test_memory_split_across_shards(self):
-        sharded = TimeShardedDetector._of_tbf(10.0, 10, 4, 1 << 16, seed=1)
+        sharded = time_tbf_fleet(10.0, 10, 4, 1 << 16, seed=1)
         single = TimeBasedTBFDetector(10.0, 10, 1 << 16, seed=1)
         assert sharded.memory_bits <= single.memory_bits * 1.1
 
     def test_needs_shards(self):
         with pytest.raises(ConfigurationError):
-            TimeShardedDetector([])
+            ShardedDetector([])
         with pytest.raises(ConfigurationError):
-            TimeShardedDetector._of_tbf(10.0, 10, 0, 1024)
+            time_tbf_fleet(10.0, 10, 0, 1024)

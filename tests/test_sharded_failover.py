@@ -2,18 +2,37 @@
 checkpoint, degraded-window stats, and whole-sharded-detector checkpoints."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import CheckpointError, load_detector, save_detector
+from repro.core.checkpoint import pack_frame, unpack_frame
 from repro.detection import (
     DetectionPipeline,
+    DetectorSpec,
     FailoverPolicy,
     ShardedDetector,
-    TimeShardedDetector,
+    TBFParams,
+    WindowSpec,
+    create_detector,
 )
 from repro.errors import ConfigurationError
 from repro.resilience import SupervisedPipeline
+
+FLEET = DetectorSpec(
+    "tbf", WindowSpec("sliding", 64), params=TBFParams(4096, 10), seed=1, shards=4
+)
+TIME_FLEET = DetectorSpec(
+    "tbf-time",
+    WindowSpec("sliding", 1024),
+    duration=30.0,
+    resolution=8,
+    params=TBFParams(8192, 10),
+    seed=1,
+    shards=4,
+)
 
 
 def drive(detector, count, seed, universe=80):
@@ -22,7 +41,7 @@ def drive(detector, count, seed, universe=80):
 
 
 def test_fail_open_accepts_and_fail_closed_rejects_everything():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = create_detector(FLEET)
     drive(detector, 200, seed=2)
 
     detector.fail_shard(1, FailoverPolicy.FAIL_OPEN)
@@ -49,8 +68,8 @@ def test_restore_shard_resumes_exact_verdicts():
     # Two detectors fed identically; one loses a shard and rebuilds it
     # from a checkpoint taken at that instant.  With no clicks processed
     # during the degraded window, verdicts must stay identical forever.
-    healthy = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    failing = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    healthy = create_detector(FLEET)
+    failing = create_detector(FLEET)
     assert drive(healthy, 300, seed=5) == drive(failing, 300, seed=5)
 
     blob = failing.checkpoint_shard(2)
@@ -62,8 +81,8 @@ def test_restore_shard_resumes_exact_verdicts():
 
 
 def test_degraded_window_damage_is_bounded_to_one_shard():
-    healthy = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    failing = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    healthy = create_detector(FLEET)
+    failing = create_detector(FLEET)
     drive(healthy, 300, seed=5)
     drive(failing, 300, seed=5)
 
@@ -81,7 +100,7 @@ def test_degraded_window_damage_is_bounded_to_one_shard():
 
 
 def test_restore_shard_type_mismatch_rejected():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = create_detector(FLEET)
     from repro.core import GBFDetector
 
     wrong = save_detector(GBFDetector(64, 8, 1024, 4, seed=3))
@@ -90,7 +109,7 @@ def test_restore_shard_type_mismatch_rejected():
 
 
 def test_shard_index_validated():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = create_detector(FLEET)
     with pytest.raises(ConfigurationError):
         detector.fail_shard(4)
     with pytest.raises(ConfigurationError):
@@ -98,7 +117,7 @@ def test_shard_index_validated():
 
 
 def test_time_sharded_failover():
-    detector = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
+    detector = create_detector(TIME_FLEET)
     rng = random.Random(2)
     timestamp = 0.0
     for _ in range(300):
@@ -118,7 +137,7 @@ def test_time_sharded_failover():
 
 
 def test_whole_sharded_detector_checkpoint_preserves_degradation():
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = create_detector(FLEET)
     drive(detector, 300, seed=5)
     detector.fail_shard(3, FailoverPolicy.FAIL_OPEN)
     drive(detector, 50, seed=6)
@@ -145,7 +164,7 @@ def test_custom_router_refused_for_whole_detector_checkpoint():
 def test_supervised_pipeline_surfaces_degraded_window(tmp_path):
     from tests.test_resilience import make_billing, make_stream
 
-    detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    detector = create_detector(FLEET)
     detector.fail_shard(1, FailoverPolicy.FAIL_CLOSED)
     pipeline = DetectionPipeline(detector, billing=make_billing())
     supervisor = SupervisedPipeline(pipeline, tmp_path, checkpoint_every=50)
@@ -175,8 +194,8 @@ def _stream_arrays(count, seed, universe=80):
 def test_batch_failover_matches_scalar_path():
     import numpy as np
 
-    scalar = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    batched = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    scalar = create_detector(FLEET)
+    batched = create_detector(FLEET)
     warmup = _stream_arrays(300, seed=5)
     assert [scalar.process(int(x)) for x in warmup] == list(
         batched.process_batch(warmup)
@@ -204,8 +223,8 @@ def test_batch_failover_matches_scalar_path():
 def test_batch_failover_kill_between_chunks_and_restore():
     import numpy as np
 
-    scalar = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
-    batched = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+    scalar = create_detector(FLEET)
+    batched = create_detector(FLEET)
     chunks = [_stream_arrays(150, seed=s) for s in range(8)]
     blob = None
     for index, chunk in enumerate(chunks):
@@ -228,8 +247,8 @@ def test_batch_failover_kill_between_chunks_and_restore():
 def test_time_sharded_batch_failover_matches_scalar_path():
     import numpy as np
 
-    scalar = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
-    batched = TimeShardedDetector._of_tbf(30.0, 8, 4, 8192, seed=1)
+    scalar = create_detector(TIME_FLEET)
+    batched = create_detector(TIME_FLEET)
     rng = random.Random(9)
     timestamp, ids, stamps = 0.0, [], []
     for _ in range(500):
@@ -251,3 +270,61 @@ def test_time_sharded_batch_failover_matches_scalar_path():
         got = batched.process_batch_at(ids[a:b], stamps[a:b])
         assert expected == [bool(v) for v in got]
     assert scalar.degraded_shards() == batched.degraded_shards()
+
+
+def _degraded_blob(spec):
+    """A CRC-valid fleet checkpoint with shard 1 degraded mid-stream."""
+    detector = create_detector(spec)
+    try:
+        if spec.duration is None:
+            drive(detector, 150, seed=4)
+        else:
+            detector.process_batch_at(
+                np.arange(150, dtype=np.uint64), np.linspace(0.0, 5.0, 150)
+            )
+        fail = getattr(detector, "fail_worker", None) or detector.fail_shard
+        fail(1, "fail-open")
+        return save_detector(detector)
+    finally:
+        close = getattr(detector, "close", None)
+        if close is not None:
+            close()
+
+
+TAMPERINGS = {
+    "unknown-shard": lambda header: header["degraded"].update(
+        {"99": {"policy": "fail-open", "clicks": 0}}
+    ),
+    "bogus-policy": lambda header: header["degraded"]["1"].update(policy="bogus"),
+    "missing-clicks": lambda header: header["degraded"]["1"].pop("clicks"),
+    "negative-clicks": lambda header: header["degraded"]["1"].update(clicks=-1),
+    "negative-arrivals": lambda header: header["per_shard_arrivals"].__setitem__(
+        0, -5
+    ),
+}
+
+
+FLEETS = {
+    "sharded": FLEET,
+    "time-sharded": TIME_FLEET,
+    "parallel-sharded": replace(FLEET, engine="parallel"),
+    "parallel-time-sharded": replace(TIME_FLEET, engine="parallel"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,tampering",
+    [
+        (kind, tampering)
+        for kind in FLEETS
+        for tampering in sorted(TAMPERINGS)
+        # Time-based fleets carry no arrival counts to tamper with.
+        if not (tampering == "negative-arrivals" and "time" in kind)
+    ],
+)
+def test_tampered_failover_state_is_rejected(kind, tampering):
+    header, payload = unpack_frame(_degraded_blob(FLEETS[kind]))
+    assert header["kind"] == kind
+    TAMPERINGS[tampering](header)
+    with pytest.raises(CheckpointError):
+        load_detector(pack_frame(header, payload))

@@ -30,8 +30,14 @@ from repro.core import (
     save_detector,
 )
 from repro.core.checkpoint import unpack_frame
-from repro.detection import DetectionPipeline
-from repro.detection.sharded import FailoverPolicy, ShardedDetector
+from repro.detection import (
+    DetectionPipeline,
+    DetectorSpec,
+    TBFParams,
+    WindowSpec,
+    create_detector,
+)
+from repro.detection.sharded import FailoverPolicy
 from repro.resilience import (
     CheckpointStore,
     FaultInjector,
@@ -44,6 +50,10 @@ from repro.telemetry import (
     MetricsRegistry,
     TelemetrySession,
     theoretical_fp_bound,
+)
+
+FLEET = DetectorSpec(
+    "tbf", WindowSpec("sliding", 64), params=TBFParams(4096, 10), seed=1, shards=4
 )
 
 DETECTOR_VARIANTS = [
@@ -114,7 +124,7 @@ class TestTheoreticalBounds:
         ) is None
 
     def test_sharded_bound_is_worst_shard(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = create_detector(FLEET)
         shard_bounds = [theoretical_fp_bound(shard) for shard in detector.shards]
         assert theoretical_fp_bound(detector) == max(shard_bounds)
 
@@ -217,7 +227,7 @@ class TestDetectorInstrument:
 
 class TestShardedTelemetry:
     def test_snapshot_reports_per_shard_health(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = create_detector(FLEET)
         drive(detector, list(range(40)) * 2)
         detector.fail_shard(2, FailoverPolicy.FAIL_OPEN)
         snapshot = detector.telemetry_snapshot()
@@ -230,7 +240,7 @@ class TestShardedTelemetry:
         assert snapshot["gauges"]["estimated_fp_rate"] == detector.estimated_fp_rate()
 
     def test_failover_transitions_counted(self):
-        detector = ShardedDetector._of_tbf(64, 4, 4096, seed=1)
+        detector = create_detector(FLEET)
         registry = MetricsRegistry()
         DetectorInstrument(detector, registry)  # attaches failover counters
         blob = detector.checkpoint_shard(1)

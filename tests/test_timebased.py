@@ -46,6 +46,11 @@ class TestTimeBasedTBF:
         fresh.process_at(42, 0.0)
         fresh.process_at(1, 11.01)
         assert fresh.process_at(42, 11.02) is False
+        # Expiry is early, never late: a click late in unit 0 leaves the
+        # window with its unit, at age 9.05 < duration.
+        early = self.make(duration=10.0, resolution=10)
+        early.process_at(42, 0.95)
+        assert early.process_at(42, 10.0) is False
 
     def test_monotone_timestamps_enforced(self):
         detector = self.make()
