@@ -3,7 +3,8 @@
 The batch path (``process_batch`` / ``process_batch_at``) is required to
 be *bit-identical* to the scalar loop — same verdicts, same checkpoint
 bytes, same operation counts — so this bench both times the two paths
-and asserts the equivalence on the exact stream it timed.  For the
+and asserts the equivalence on the exact stream it timed (and again at
+64-click calls, the serve path's request size).  For the
 paper's two headline detectors (GBF and TBF) it additionally asserts the
 batch path clears a speedup floor on distinct traffic: 5x by default,
 overridable via ``REPRO_BENCH_SPEEDUP_FLOOR`` so CI smoke runs on noisy
@@ -32,6 +33,9 @@ SUBWINDOWS = 8
 MEMORY_BITS = 1 << 18
 NUM_HASHES = 6
 CHUNK = 4096
+#: Serve-sized calls (one coalesced 64-click request): the identity must
+#: hold when every call touches a sliver of the table, too.
+SMALL_CHUNK = 64
 TIMED = 4 * WINDOW
 DURATION = float(WINDOW)  # time-based twins: one click per second
 
@@ -154,3 +158,10 @@ def test_batch_throughput(benchmark, report, name):
             f"{name} batch path only {speedup:.2f}x faster than scalar "
             f"(floor {SPEEDUP_FLOOR}x)"
         )
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_small_chunk_bit_identity(name):
+    # One window at 64-click calls (after the usual warm-up) keeps the
+    # added runtime to the scalar replay of ~3 windows per detector.
+    compare_paths(name, timed=WINDOW, chunk=SMALL_CHUNK)

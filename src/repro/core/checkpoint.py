@@ -260,6 +260,38 @@ def _load_gbf(header: Dict[str, Any], payload: bytes) -> GBFDetector:
     return detector
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_timestamp_state(detector, name: str) -> None:
+    """Reject TBF-family state no run of the detector can produce.
+
+    The batch paths rely on it: a cleaning cursor inside ``[0, m)``,
+    and every entry either empty or a timestamp below the period (a
+    larger value would read as an arbitrary age).  A CRC-valid blob
+    breaking either fails here, at load time, not on the next batch.
+    """
+    cursor = detector._clean_cursor
+    if not _is_int(cursor) or not 0 <= cursor < detector.num_entries:
+        raise CheckpointError(
+            f"{name} clean_cursor {cursor!r} outside [0, {detector.num_entries})"
+        )
+    entries = detector._entries
+    bad = (entries != detector.empty_value) & (entries >= detector.timestamp_period)
+    if bad.any():
+        raise CheckpointError(
+            f"{name} entry {int(np.flatnonzero(bad)[0])} holds "
+            f"{int(entries[bad][0])}, neither empty nor a timestamp below "
+            f"the period {detector.timestamp_period}"
+        )
+
+
+def _check_position(position: Any, name: str) -> None:
+    if not _is_int(position) or position < -1:
+        raise CheckpointError(f"{name} position {position!r} is not an int >= -1")
+
+
 def _save_tbf(detector: TBFDetector) -> bytes:
     header = {
         "kind": "tbf",
@@ -295,6 +327,8 @@ def _load_tbf(header: Dict[str, Any], payload: bytes) -> TBFDetector:
         detector.duplicates = int(header.get("duplicates", 0))
     except KeyError as error:
         raise CheckpointError(f"missing TBF checkpoint field: {error}") from error
+    _check_position(detector._position, "TBF")
+    _check_timestamp_state(detector, "TBF")
     return detector
 
 
@@ -329,6 +363,10 @@ def _load_tbf_jumping(header: Dict[str, Any], payload: bytes) -> TBFJumpingDetec
             raise CheckpointError(
                 "TBF-jumping payload size does not match configuration"
             )
+        if entries.dtype != detector._entries.dtype:
+            raise CheckpointError(
+                "TBF-jumping payload dtype does not match configuration"
+            )
         detector._entries = entries
         detector._position = header["position"]
         detector._clean_cursor = header["clean_cursor"]
@@ -337,6 +375,8 @@ def _load_tbf_jumping(header: Dict[str, Any], payload: bytes) -> TBFJumpingDetec
         raise CheckpointError(
             f"missing TBF-jumping checkpoint field: {error}"
         ) from error
+    _check_position(detector._position, "TBF-jumping")
+    _check_timestamp_state(detector, "TBF-jumping")
     return detector
 
 
@@ -385,6 +425,12 @@ def _load_tbf_timebased(header: Dict[str, Any], payload: bytes) -> TimeBasedTBFD
         raise CheckpointError(
             f"missing time-based TBF checkpoint field: {error}"
         ) from error
+    clock = (detector._last_unit, detector._last_time)
+    if clock != (None, None) and not (
+        _is_int(clock[0]) and isinstance(clock[1], (int, float))
+    ):
+        raise CheckpointError(f"time-based TBF clock {clock!r} is not (unit, time)")
+    _check_timestamp_state(detector, "time-based TBF")
     return detector
 
 

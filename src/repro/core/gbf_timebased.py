@@ -334,7 +334,7 @@ class TimeBasedGBFDetector:
         dup0 = (kernels.row_and(fields) & mask) != 0
         cov0 = ((fields >> np.uint64(self._current_lane)) & np.uint64(1)).astype(bool)
         duplicate, inserters, _, _ = resolve_inserts(
-            dup0, cov0, idx, matrix.num_slots, need_covered=False
+            dup0, cov0, idx, need_covered=False
         )
         ins = np.nonzero(inserters)[0]
         if ins.size:

@@ -32,6 +32,7 @@ __all__ = [
     "row_all",
     "row_and",
     "row_any",
+    "run_of_k",
     "or_constant_bit",
     "or_lane_slots",
     "clean_cursor_sweep",
@@ -58,12 +59,14 @@ def repeat_arange(n: int, reps: int) -> "np.ndarray":
 def wrapped_ages(now: int, values: "np.ndarray", period: int) -> "np.ndarray":
     """``(now - values) % period`` for timestamps in ``[0, period)``.
 
-    ``values`` may also hold the empty sentinel (``>= period``); those
-    rows come out as arbitrary-but-deterministic negatives, which every
-    caller masks behind a ``values != empty`` check anyway.  One
-    conditional add replaces the (much slower) int64 modulo.
+    ``values`` may be any integer dtype: entry arrays are read as
+    stored, and only the int64 result is allocated.  They may also hold
+    the empty sentinel (``>= period``); those rows come out as
+    arbitrary-but-deterministic negatives, which every caller masks
+    behind a ``values != empty`` check anyway.  One conditional add
+    replaces the (much slower) int64 modulo.
     """
-    ages = np.int64(now) - values
+    ages = np.subtract(np.int64(now), values, dtype=np.int64)
     np.add(ages, np.int64(period), out=ages, where=ages < 0)
     return ages
 
@@ -97,6 +100,23 @@ def row_any(matrix: "np.ndarray") -> "np.ndarray":
     return result
 
 
+def run_of_k(match: "np.ndarray", run_length: int) -> "np.ndarray":
+    """Rows holding ``run_length`` consecutive True columns.
+
+    A running-run column sweep: ``S`` column ops for an ``(n, S)``
+    matrix instead of one AND window per possible run start.
+    """
+    n, num_columns = match.shape
+    run = np.zeros(n, dtype=np.int32)
+    found = np.zeros(n, dtype=bool)
+    for column in range(num_columns):
+        run += 1
+        run *= match[:, column]
+        if column >= run_length - 1:
+            found |= run >= run_length
+    return found
+
+
 def or_constant_bit(words: "np.ndarray", idx: "np.ndarray", bit: "np.uint64") -> None:
     """``words[i] |= bit`` for every ``i`` in ``idx`` (duplicates fine).
 
@@ -120,18 +140,10 @@ def or_lane_slots(
 ) -> None:
     """Set ``lane``'s bit at every *slot* index, dense multi-slot layout.
 
-    Slots sharing a word need different bits, so a single fancy
-    assignment could drop writes on duplicate words.  Two exact
-    strategies, picked by batch density:
-
-    * **dense accumulator** — OR the per-slot bits into a zeroed word
-      image with ``np.bitwise_or.at`` (duplicate semantics defined),
-      then fold it into ``words`` with one vector OR.  Two extra
-      passes over the word array, so only worth it when the batch is
-      a decent fraction of it.
-    * **offset classes** — partition by ``slot % slots_per_word`` so
-      the bit is constant within each class, where gather-OR-assign is
-      exact; classes touch disjoint bits, so their order is irrelevant.
+    Slots sharing a word need different bits, so a plain fancy
+    OR-assign could drop writes on duplicate words.  ``np.bitwise_or.at``
+    has defined duplicate semantics and touches only the addressed
+    words: no scratch sized to the word array, whatever the batch size.
 
     ``slot_word``/``slot_shift`` are the matrix's precomputed gather
     tables (slot -> word index / bit shift); pass them to skip the
@@ -144,16 +156,7 @@ def or_lane_slots(
     else:
         word_idx, slot_in_word = np.divmod(flat, slots_per_word)
         shifts = (slot_in_word * num_lanes).astype(np.uint64)
-    if flat.size * 64 >= words.shape[0]:
-        bits = np.uint64(1 << lane) << shifts
-        image = np.zeros(words.shape[0], dtype=np.uint64)
-        np.bitwise_or.at(image, word_idx, bits)
-        words |= image
-        return
-    for offset in range(slots_per_word):
-        sel = word_idx[shifts == np.uint64(offset * num_lanes)]
-        if sel.size:
-            words[sel] |= np.uint64(1 << (offset * num_lanes + lane))
+    np.bitwise_or.at(words, word_idx, np.uint64(1 << lane) << shifts)
 
 
 def clean_cursor_sweep(
@@ -164,6 +167,8 @@ def clean_cursor_sweep(
     period: int,
     active_span: int,
     empty: int,
+    age_offsets: "np.ndarray | None" = None,
+    keep=None,
 ) -> Tuple[int, int]:
     """One vectorized TBF cursor-cleaning sweep of ``budget`` entries.
 
@@ -173,21 +178,33 @@ def clean_cursor_sweep(
     reads are exactly ``budget``.  The wraparound splits into at most
     two contiguous slices, so the erase is a view-masked store with no
     index arrays at all.
+
+    Batch paths fuse many arrivals' sweeps into one call and judge each
+    visited entry at the clock of the arrival that visits it:
+    ``age_offsets`` (``(budget,)``, any integer dtype) is added to the
+    age at ``now`` position by position, and ``keep(erase, start,
+    done)`` clears the erase flag of entries that must survive (slice
+    ``erase`` starts at entry ``start``, after ``done`` visited ones).
     """
     m = entries.shape[0]
     writes = 0
-    remaining = budget
-    while remaining > 0:
-        length = min(remaining, m - cursor)
+    done = 0
+    empty_stamp = entries.dtype.type(empty)
+    while done < budget:
+        length = min(budget - done, m - cursor)
         seg = entries[cursor : cursor + length]
-        ages = wrapped_ages(now, seg.astype(np.int64), period)
-        stale = (seg != entries.dtype.type(empty)) & (ages >= active_span)
-        count = int(np.count_nonzero(stale))
+        ages = wrapped_ages(now, seg, period)
+        if age_offsets is not None:
+            ages += age_offsets[done : done + length]
+        erase = (seg != empty_stamp) & (ages >= active_span)
+        if keep is not None:
+            keep(erase, cursor, done)
+        count = int(np.count_nonzero(erase))
         if count:
-            seg[stale] = entries.dtype.type(empty)
+            seg[erase] = empty_stamp
             writes += count
         cursor = (cursor + length) % m
-        remaining -= length
+        done += length
     return cursor, writes
 
 

@@ -177,8 +177,8 @@ class LanePackedBitMatrix:
         Counts one write per slot, like scalar :meth:`set_lane` over
         each row.  Duplicate slots are exact: the single-slot layout
         ORs one constant bit (idempotent, order-free), the multi-slot
-        layout partitions by in-word offset so each scatter's bit is
-        constant (:func:`repro.core.kernels.or_lane_slots`).
+        layout uses a duplicate-safe OR scatter
+        (:func:`repro.core.kernels.or_lane_slots`).
         """
         if self.words_per_slot != 1:
             raise ConfigurationError("or_lane_batch requires the dense layout")

@@ -36,6 +36,7 @@ cleaning cost at the paper's default ``C = N - 1``).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -264,7 +265,6 @@ class TBFDetector:
     def _process_chunk(self, idx: "np.ndarray", out: "np.ndarray") -> None:
         n, k = idx.shape
         entries = self._entries
-        m = self.num_entries
         period = self.timestamp_period
         window = self.window_size
         empty = self.empty_value
@@ -281,68 +281,50 @@ class TBFDetector:
         # equals the scalar modular compare at every element — without
         # it, an age wrapping past the period mid-chunk would misread
         # as fresh.
-        values = entries[idx].astype(np.int64)
+        values = entries[idx]
         # (now0 - value) % period via conditional add (empty-sentinel
         # rows come out garbage, masked by the != empty term below).
-        base_age = kernels.wrapped_ages(now0, values, period)
-        active0 = (values != empty) & (base_age + rows[:, None] < window)
+        ages = kernels.wrapped_ages(now0, values, period)
+        ages += rows[:, None]
+        active0 = (values != empty) & (ages < window)
+        del values, ages  # free the probe's int64 scratch before resolving
         dup0 = kernels.row_all(active0)
         # In-chunk inserts are < window arrivals old, so a covered slot
         # is active at probe time: the resolver's covered matrix is the
         # probe-read truth directly.
-        duplicate, inserters, first_writer, covered = resolve_inserts(
-            dup0, active0, idx, m
-        )
+        duplicate, inserters, touched, covered = resolve_inserts(dup0, active0, idx)
         reads = check_reads(covered)
         ins = np.nonzero(inserters)[0]
 
         # Cleaning sweep: n * scan cursor slots, each visited at most
         # once (chunk limit), judged against pre-chunk values at the
-        # sweeping element's clock — except entries an earlier element
-        # re-inserted, which are fresh and must survive.  The cursor
-        # window is at most two contiguous slices, so values, writer
-        # table, and the erase store are all sliced views — no index
-        # arrays, no modulo (erasures first, inserts after: an entry
-        # erased by one element and re-written by a later one ends up
-        # written, and slices are disjoint so the interleave is exact).
-        total = n * scan
-        sweep_element = kernels.repeat_arange(n, scan)
-        cursor = self._clean_cursor
-        offset = 0
-        clean_writes = 0
-        empty_stamp = entries.dtype.type(empty)
-        while offset < total:
-            length = min(total - offset, m - cursor)
-            seg = entries[cursor : cursor + length]
-            seg_values = seg.astype(np.int64)
-            elems = sweep_element[offset : offset + length]
-            seg_age = kernels.wrapped_ages(now0, seg_values, period) + elems
-            erase = (seg_values != empty) & (seg_age >= window)
-            if ins.size:
-                erase &= ~(first_writer[cursor : cursor + length] < elems)
-            count = int(np.count_nonzero(erase))
-            if count:
-                seg[erase] = empty_stamp
-                clean_writes += count
-            cursor = (cursor + length) % m
-            offset += length
+        # sweeping element's clock (age offset = element row) — except
+        # entries an earlier element re-inserted, which are fresh and
+        # must survive (looked up among the chunk's touched slots).
+        # Erasures first, inserts after: an entry erased by one element
+        # and re-written by a later one ends up written.
+        sweepers = kernels.repeat_arange(n, scan)
+        keep = None
+        if ins.size:
+            keep = functools.partial(touched.keep_fresh, elements=sweepers)
+        self._clean_cursor, clean_writes = kernels.clean_cursor_sweep(
+            entries,
+            self._clean_cursor,
+            n * scan,
+            now0,
+            period,
+            window,
+            empty,
+            age_offsets=sweepers,
+            keep=keep,
+        )
         if ins.size:
             # The final stamp per entry is its *last* writer's position
             # (fancy assignment has no duplicate-order guarantee, so the
-            # last writer is made explicit with a maximum scatter).
-            last_writer = np.full(m, -1, dtype=np.int64)
-            if ins.size == n:
-                np.maximum.at(
-                    last_writer, idx.ravel(), kernels.repeat_arange(n, k)
-                )
-            else:
-                np.maximum.at(last_writer, idx[ins].ravel(), np.repeat(ins, k))
-            upd = np.nonzero(last_writer >= 0)[0]
-            entries[upd] = (
-                (first_position + last_writer[upd]) % period
-            ).astype(entries.dtype)
+            # last writer is made explicit per touched slot).
+            slots, writers = touched.last_writers()
+            entries[slots] = ((first_position + writers) % period).astype(entries.dtype)
 
-        self._clean_cursor = int((self._clean_cursor + n * scan) % m)
         self._position += n
         self.counter.add(n * scan + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n

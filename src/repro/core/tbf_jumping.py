@@ -14,6 +14,7 @@ Timestamps are measured in sub-window units, so entries need only
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -202,7 +203,6 @@ class TBFJumpingDetector:
     def _process_segment(self, idx: "np.ndarray", out: "np.ndarray") -> None:
         n, k = idx.shape
         entries = self._entries
-        m = self.num_entries
         period = self.timestamp_period
         active_span = self.num_subwindows
         empty = self.empty_value
@@ -210,51 +210,32 @@ class TBFJumpingDetector:
         first_position = self._position + 1
         now = (first_position // self.subwindow_size) % period
 
-        values = entries[idx].astype(np.int64)
+        values = entries[idx]
         ages = kernels.wrapped_ages(now, values, period)
         active0 = (values != empty) & (ages < active_span)
+        del values, ages  # free the probe's int64 scratch before resolving
         dup0 = kernels.row_all(active0)
-        duplicate, inserters, first_writer, covered = resolve_inserts(
-            dup0, active0, idx, m
-        )
+        duplicate, inserters, touched, covered = resolve_inserts(dup0, active0, idx)
         reads = check_reads(covered)
         ins = np.nonzero(inserters)[0]
 
-        # Cursor sweep over at most two contiguous slices (n * scan <= m
-        # by the segment limit): sliced views replace index arrays, and
-        # the interleaved per-slice erase is exact because slices are
-        # disjoint in entry space.
-        total = n * scan
-        sweep_element = kernels.repeat_arange(n, scan) if ins.size else None
-        cursor = self._clean_cursor
-        offset = 0
-        clean_writes = 0
-        empty_stamp = entries.dtype.type(empty)
-        while offset < total:
-            length = min(total - offset, m - cursor)
-            seg = entries[cursor : cursor + length]
-            seg_values = seg.astype(np.int64)
-            erase = (seg_values != empty) & (
-                kernels.wrapped_ages(now, seg_values, period) >= active_span
-            )
-            if ins.size:
-                erase &= ~(
-                    first_writer[cursor : cursor + length]
-                    < sweep_element[offset : offset + length]
-                )
-            count = int(np.count_nonzero(erase))
-            if count:
-                seg[erase] = empty_stamp
-                clean_writes += count
-            cursor = (cursor + length) % m
-            offset += length
+        # One fused cursor sweep (n * scan <= m by the segment limit,
+        # so no entry is visited twice); entries an earlier element
+        # re-stamped are fresh and survive.
+        keep = None
+        if ins.size:
+            sweepers = kernels.repeat_arange(n, scan)
+            keep = functools.partial(touched.keep_fresh, elements=sweepers)
+        self._clean_cursor, clean_writes = kernels.clean_cursor_sweep(
+            entries, self._clean_cursor, n * scan, now, period, active_span, empty,
+            keep=keep,
+        )
         if ins.size:
             # Every in-segment insert stamps the same value, so the
             # duplicate-index assignment order cannot matter.
             flat = idx.ravel() if ins.size == n else idx[ins].ravel()
             entries[flat] = entries.dtype.type(now)
 
-        self._clean_cursor = int((self._clean_cursor + n * scan) % m)
         self._position += n
         self.counter.add(n * scan + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n

@@ -20,6 +20,7 @@ single full wipe replaces the tick-by-tick replay.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Sequence
 
@@ -323,22 +324,20 @@ class TimeBasedTBFDetector:
         """
         n, k = idx.shape
         entries = self._entries
-        m = self.num_entries
         period = self.timestamp_period
         active_span = self.resolution
         empty = self.empty_value
-        rows = np.arange(n, dtype=np.int64)
         elapsed = units - units[0]
 
-        values = entries[idx].astype(np.int64)
-        base_age = kernels.wrapped_ages(now0, values, period)
-        active0 = (values != empty) & (base_age + elapsed[:, None] < active_span)
+        values = entries[idx]
+        ages = kernels.wrapped_ages(now0, values, period)
+        ages += elapsed[:, None]
+        active0 = (values != empty) & (ages < active_span)
+        del values, ages  # free the probe's int64 scratch before resolving
         dup0 = kernels.row_all(active0)
         # In-segment stamps stay active (elapsed spread < resolution),
         # so the resolver's covered matrix is active at probe time.
-        duplicate, inserters, first_writer, covered = resolve_inserts(
-            dup0, active0, idx, m
-        )
+        duplicate, inserters, touched, covered = resolve_inserts(dup0, active0, idx)
         reads = check_reads(covered)
         ins = np.nonzero(inserters)[0]
 
@@ -351,47 +350,34 @@ class TimeBasedTBFDetector:
         if budgets is not None and budgets.size:
             total = int(budgets.sum())
         if total:
-            sweep_offset = np.repeat(elapsed[1:], budgets)
-            sweep_element = np.repeat(rows[1:], budgets)
-            cursor = self._clean_cursor
-            offset = 0
-            empty_stamp = entries.dtype.type(empty)
-            while offset < total:
-                length = min(total - offset, m - cursor)
-                seg = entries[cursor : cursor + length]
-                seg_values = seg.astype(np.int64)
-                seg_age = (
-                    kernels.wrapped_ages(now0, seg_values, period)
-                    + sweep_offset[offset : offset + length]
+            keep = None
+            if ins.size:
+                sweepers = np.repeat(
+                    np.arange(1, n, dtype=np.min_scalar_type(n)), budgets
                 )
-                erase = (seg_values != empty) & (seg_age >= active_span)
-                if ins.size:
-                    erase &= ~(
-                        first_writer[cursor : cursor + length]
-                        < sweep_element[offset : offset + length]
-                    )
-                count = int(np.count_nonzero(erase))
-                if count:
-                    seg[erase] = empty_stamp
-                    clean_writes += count
-                cursor = (cursor + length) % m
-                offset += length
-            self._clean_cursor = cursor
+                keep = functools.partial(touched.keep_fresh, elements=sweepers)
+            # Offsets are below the resolution: the narrowest dtype
+            # holding it keeps the per-position array small.
+            offsets = elapsed[1:].astype(np.min_scalar_type(active_span))
+            self._clean_cursor, clean_writes = kernels.clean_cursor_sweep(
+                entries,
+                self._clean_cursor,
+                total,
+                now0,
+                period,
+                active_span,
+                empty,
+                age_offsets=np.repeat(offsets, budgets),
+                keep=keep,
+            )
 
         if ins.size:
             # Per-element stamps: the last writer's clock wins, exactly
             # as in the scalar overwrite order.
-            last_writer = np.full(m, -1, dtype=np.int64)
-            if ins.size == n:
-                np.maximum.at(
-                    last_writer, idx.ravel(), kernels.repeat_arange(n, k)
-                )
-            else:
-                np.maximum.at(last_writer, idx[ins].ravel(), np.repeat(ins, k))
-            upd = np.nonzero(last_writer >= 0)[0]
-            entries[upd] = (
-                (np.int64(now0) + elapsed[last_writer[upd]]) % period
-            ).astype(entries.dtype)
+            slots, writers = touched.last_writers()
+            entries[slots] = ((np.int64(now0) + elapsed[writers]) % period).astype(
+                entries.dtype
+            )
         self.counter.add(total + reads, clean_writes + k * int(ins.size))
         self.counter.elements += n
         self.duplicates += int(np.count_nonzero(duplicate))

@@ -185,6 +185,83 @@ class TestTimeBasedEquivalence:
         )
 
 
+# Longer streams for the large tables below: enough window turnover
+# that entries holding expired stamps are re-written and then swept
+# inside one chunk, the case the sweep's fresh-entry check exists for.
+long_identifiers = st.builds(
+    lambda seed, universe: np.random.default_rng(seed)
+    .integers(0, universe, 600)
+    .tolist(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=20, max_value=400),
+)
+long_gaps = st.builds(
+    lambda seed, scale: np.random.default_rng(seed)
+    .exponential(scale, 600)
+    .tolist(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.01, max_value=2.0),
+)
+
+
+class TestLargeTableEquivalence:
+    """Tables of a few thousand entries: ``m`` far above ``chunk * k``.
+
+    Each chunk touches a small fraction of the table, so the resolver's
+    touched-slot tables are sparse and a cleaning sweep's window holds
+    only some of them (or none).
+    """
+
+    @SETTINGS
+    @given(ids=long_identifiers, chunking=chunkings)
+    def test_tbf(self, ids, chunking):
+        _assert_count_equivalence(
+            lambda: TBFDetector(24, 3001, 3, seed=5), ids, chunking
+        )
+
+    @SETTINGS
+    @given(ids=long_identifiers, chunking=chunkings)
+    def test_tbf_tight_slack(self, ids, chunking):
+        # ceil(2000 / 6) = 334 entries swept per arrival: the cursor
+        # wraps inside most chunks.
+        _assert_count_equivalence(
+            lambda: TBFDetector(32, 2000, 4, cleanup_slack=5, seed=3), ids, chunking
+        )
+
+    @SETTINGS
+    @given(ids=long_identifiers, chunking=chunkings)
+    def test_tbf_jumping(self, ids, chunking):
+        _assert_count_equivalence(
+            lambda: TBFJumpingDetector(24, 4, 2503, 3, seed=5), ids, chunking
+        )
+
+    @SETTINGS
+    @given(ids=long_identifiers, chunking=chunkings)
+    def test_gbf(self, ids, chunking):
+        _assert_count_equivalence(
+            lambda: GBFDetector(32, 4, 4001, 3, seed=5), ids, chunking
+        )
+
+    @SETTINGS
+    @given(ids=long_identifiers, chunking=chunkings)
+    def test_apbf(self, ids, chunking):
+        _assert_count_equivalence(
+            lambda: AgePartitionedBFDetector(4, 6, 2003, 5, seed=5),
+            ids,
+            chunking,
+        )
+
+    @SETTINGS
+    @given(ids=long_identifiers, gaps=long_gaps, chunking=chunkings)
+    def test_time_tbf(self, ids, gaps, chunking):
+        _assert_time_equivalence(
+            lambda: TimeBasedTBFDetector(16.0, 8, 2503, 3, seed=5),
+            ids,
+            gaps,
+            chunking,
+        )
+
+
 COUNT_BUILDERS = {
     "gbf": lambda: GBFDetector(32, 4, 97, 3, seed=5),
     "tbf": lambda: TBFDetector(24, 53, 3, seed=5),

@@ -207,3 +207,71 @@ def test_zero_fn_survives_restart():
     detector = load_detector(save_detector(detector))  # simulated restart
     for _ in range(200):
         step(detector, rng.randrange(64))
+
+
+# ----------------------------------------------------------------------
+# Out-of-range TBF-family state (CRC-valid, hostile or buggy writer)
+# ----------------------------------------------------------------------
+
+
+def _driven_timestamp_detector(kind):
+    if kind == "tbf":
+        detector = TBFDetector(24, 53, 3, seed=5)
+        _drive(detector, 100, seed=2)
+    elif kind == "tbf-jumping":
+        detector = TBFJumpingDetector(24, 4, 61, 3, seed=5)
+        _drive(detector, 100, seed=2)
+    else:
+        detector = TimeBasedTBFDetector(16.0, 8, 53, 3, seed=5)
+        rng = random.Random(2)
+        for step in range(100):
+            detector.process_at(rng.randrange(200), step * 0.3)
+    return detector
+
+
+def _repack(blob, field, value):
+    import numpy as np
+
+    from repro.core.checkpoint import pack_frame, unpack_frame
+
+    header, payload = unpack_frame(blob)
+    if field == "entry":
+        entries = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).copy()
+        entries[0] = value
+        payload = entries.tobytes()
+    else:
+        header[field] = value
+    return pack_frame(header, payload)
+
+
+@pytest.mark.parametrize(
+    "kind,field,value",
+    [
+        (kind, field, value)
+        for kind in ("tbf", "tbf-jumping", "tbf-time")
+        for field, value in (
+            ("clean_cursor", -1),
+            ("clean_cursor", "m"),
+            ("clean_cursor", 2.5),
+            ("entry", "period+3"),
+        )
+    ]
+    + [
+        ("tbf", "position", -7),
+        ("tbf-jumping", "position", -7),
+        ("tbf", "position", None),
+        ("tbf-time", "last_unit", 1.5),
+        ("tbf-time", "last_time", None),
+    ],
+)
+def test_out_of_range_timestamp_state_rejected_at_load(kind, field, value):
+    detector = _driven_timestamp_detector(kind)
+    if value == "m":
+        value = detector.num_entries
+    elif value == "period+3":
+        value = detector.timestamp_period + 3
+        assert value < detector.empty_value  # a real value, not the sentinel
+    blob = save_detector(detector)
+    load_detector(blob)  # the untouched blob loads
+    with pytest.raises(CheckpointError):
+        load_detector(_repack(blob, field, value))

@@ -112,8 +112,8 @@ def test_or_lane_slots_matches_scalar(num_slots, num_lanes, lane, slots, use_tab
 
 
 def test_or_lane_slots_dense_and_sparse_strategies_agree():
-    # A batch large enough to take the dense-accumulator branch and its
-    # word-identical sparse replay (batch sliced below the threshold).
+    # One large batch (many slots per word, duplicate words) and its
+    # replay in tiny slices must leave identical words.
     rng = np.random.default_rng(3)
     num_slots, num_lanes, lane = 64, 4, 2
     slot_idx = rng.integers(0, num_slots, 4096, dtype=np.int64)
